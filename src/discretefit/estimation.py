@@ -1,12 +1,18 @@
 """Maximum-likelihood fitting, standard errors and goodness-of-fit measures.
 
-The optimizer is a full Newton ascent on the (beta, delta) parametrization.
-When the negative Hessian is not positive definite a ridge is added and
-escalated by x10 until it factors; each proposed step is halved (up to 30
-times) until the log-likelihood improves, and if the ridged Newton direction
-stalls the outer-product-of-gradients (BHHH) matrix is tried instead. The
-accepted iterate sequence is therefore monotone in the log-likelihood and the
-whole fit is deterministic.
+The optimizer is a full Newton ascent on the (beta, delta) parametrization;
+each iterate's log-likelihood, gradient and Hessian come from one fused
+likelihood pass. When the negative Hessian is not positive definite a ridge
+is added and escalated by x10 until it factors; each proposed step is halved
+(up to 30 times) until the log-likelihood improves. A full step that loses
+no more than a few ulps of |loglik| is also accepted, since near the optimum
+its gain can be smaller than the rounding of the n-term sum. The accepted
+iterate sequence is therefore monotone up to that rounding, and the whole
+fit is deterministic.
+
+The intercept-only log-likelihood behind the LR test and McFadden's R2 has
+the closed form sum_j n_j log(n_j / n), because the intercept-only model
+reproduces the observed category shares exactly.
 
 Standard errors come from the observed information (inverse negative Hessian)
 at the optimum, mapped to the (coefficients, interior cut-points) scale by
@@ -20,12 +26,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from . import likelihood as lk
 from .data import Dataset
 from .distributions import norm_cdf
 from .likelihood import ModelSpec, ParamVector
+
+
+# a full Newton step may lose this many ulps of |loglik| and still be taken
+_FULL_STEP_SLACK_ULPS = 8
 
 
 class EstimationError(Exception):
@@ -101,15 +111,6 @@ def _ridged_direction(H: np.ndarray, grad: np.ndarray, opts: FitOptions) -> np.n
     return None
 
 
-def _bhhh_direction(scores: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    opg = scores.T @ scores + 1e-10 * np.eye(grad.size)
-    try:
-        step = linalg.cho_solve(linalg.cho_factor(opg, lower=True), grad)
-    except linalg.LinAlgError:
-        return None
-    return step if np.all(np.isfinite(step)) else None
-
-
 def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> None:
     counts = np.bincount(data.y, minlength=spec.J + 1)[1:spec.J + 1]
     for j, c in enumerate(counts, start=1):
@@ -128,14 +129,9 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
     k = spec.k
 
     def evaluate(t):
-        p = ParamVector.from_flat(t, k)
-        ll, clamps = lk._loglik_clamped(spec, p, data)
-        scores = lk.score_matrix(spec, p, data)
-        grad = scores.sum(axis=0)
-        H = lk.hess_loglik(spec, p, data)
-        return ll, grad, H, scores, clamps
+        return lk._evaluate(spec, ParamVector.from_flat(t, k), data, 2)
 
-    ll, grad, H, scores, clamps = evaluate(theta)
+    ll, clamps, grad, H = evaluate(theta)
     history = [ll]
     iterations = 0
     converged = False
@@ -145,38 +141,30 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
             converged = True
             break
 
+        direction = _ridged_direction(H, grad, opts)
+        if direction is None:
+            break
+        # near the optimum a full Newton step may move the log-likelihood by
+        # less than the rounding of its n-term sum; accept it within a few
+        # ulps so the gradient can still collapse to the tolerance
+        slack = max(1e-12, _FULL_STEP_SLACK_ULPS * float(np.spacing(abs(ll))))
         accepted = None
-        step_norm = 0.0
-        newton = _ridged_direction(H, grad, opts)
-        for direction in (newton, "bhhh"):
-            if direction is None:
-                continue
-            if isinstance(direction, str):
-                direction = _bhhh_direction(scores, grad)
-                if direction is None:
-                    continue
-            alpha = 1.0
-            for halving in range(opts.max_halvings + 1):
-                cand = theta + alpha * direction
-                cand_ll, _ = lk._loglik_clamped(spec, ParamVector.from_flat(cand, k), data)
-                # near the optimum a full Newton step may move the
-                # log-likelihood by less than float resolution; accept it
-                # within the 1e-12 monotonicity slack so the gradient can
-                # still collapse to the tolerance
-                acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - 1e-12)
-                if math.isfinite(cand_ll) and acceptable:
-                    accepted = cand
-                    step_norm = float(np.max(np.abs(alpha * direction)))
-                    break
-                alpha *= 0.5
-            if accepted is not None:
+        alpha = 1.0
+        for halving in range(opts.max_halvings + 1):
+            cand = theta + alpha * direction
+            cand_ll, _ = lk._loglik_clamped(spec, ParamVector.from_flat(cand, k), data)
+            acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - slack)
+            if math.isfinite(cand_ll) and acceptable:
+                accepted = cand
+                step_norm = float(np.max(np.abs(alpha * direction)))
                 break
+            alpha *= 0.5
         if accepted is None:
             break
 
         theta = accepted
         iterations = it
-        ll, grad, H, scores, clamps = evaluate(theta)
+        ll, clamps, grad, H = evaluate(theta)
         history.append(ll)
         if opts.verbose:
             print(f"iter {it:3d}  loglik {ll:.8f}  |grad| {np.max(np.abs(grad)):.3e}")
@@ -214,8 +202,7 @@ def _report_space_vcov(spec: ModelSpec, params: ParamVector, H: np.ndarray) -> n
     return jac @ vcov_flat @ jac.T
 
 
-def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None,
-           _with_baseline: bool = True) -> FitResult:
+def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> FitResult:
     """Fit a binary/ordinal model by Newton ascent on the log-likelihood.
 
     Raises :class:`EstimationError` when a response category is absent or the
@@ -231,20 +218,20 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None,
     vcov = _report_space_vcov(spec, params, H)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
 
-    intercept_only = spec.intercept and spec.k == 1
-    if intercept_only or not _with_baseline:
-        ll0 = ll if intercept_only else math.nan
+    if spec.intercept and spec.k == 1:
+        ll0 = ll
     else:
-        ll0 = fit_intercept_only(spec, data, opts).loglik_fit
+        counts = np.bincount(data.y, minlength=spec.J + 1)[1:spec.J + 1]
+        ll0 = float(np.sum(counts * np.log(counts / data.n)))
 
     lr_df = (spec.k - 1) if spec.intercept else spec.k
     # a non-converged fit can sit below the baseline; no LR test then
-    if lr_df > 0 and math.isfinite(ll0) and ll >= ll0 - 1e-8:
+    if lr_df > 0 and ll >= ll0 - 1e-8:
         lr_stat, lr_pvalue = lr_test(ll0, ll, lr_df)
     else:
         lr_stat = lr_pvalue = lr_df = None
 
-    r2 = mcfadden_r2(ll0, ll) if math.isfinite(ll0) and ll0 < 0 else 0.0
+    r2 = mcfadden_r2(ll0, ll) if ll0 < 0 else 0.0
     hr = hit_rate(spec, params, data)
 
     return FitResult(
@@ -275,7 +262,7 @@ def lr_test(loglik_0: float, loglik_fit: float, df: int) -> tuple[float, float]:
             f"fitted log-likelihood {loglik_fit} is below the intercept-only value {loglik_0}"
         )
     stat = max(0.0, -2.0 * (loglik_0 - loglik_fit))
-    pvalue = float(stats.chi2.sf(stat, df))
+    pvalue = float(special.chdtrc(df, stat))
     return stat, pvalue
 
 

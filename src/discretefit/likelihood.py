@@ -10,9 +10,14 @@ optimizer can run unconstrained.
 Cell probabilities F(gamma_j - x'b) - F(gamma_{j-1} - x'b) are evaluated as a
 log-difference in whichever tail of the link distribution has the smaller
 magnitude; the textbook subtraction of two cdf values loses all precision
-once both arguments are beyond ~6. Cells whose log-probability falls below
--745 (the smallest representable log) are clamped there and counted, so a
-line search can survive extreme parameter values instead of dying on -inf.
+once both arguments are beyond ~6; only that tail's two log-cdf values are
+computed. Cells whose log-probability falls below -745 (the smallest
+representable log) are clamped there and counted, so a line search can
+survive extreme parameter values instead of dying on -inf.
+
+The log-likelihood, gradient and Hessian come from one fused pass over the
+data, which computes the interval bounds, log-probabilities and pdf ratios
+once and derives each higher order from them.
 """
 
 from __future__ import annotations
@@ -108,20 +113,19 @@ def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
 
     Evaluates in the left tail when the interval midpoint is negative and in
     the right (survival) tail otherwise, so the difference is never formed
-    from two cdf values saturating at the same end. Returns the clamped
-    log-probabilities and the number of clamped cells.
+    from two cdf values saturating at the same end. Only the chosen tail is
+    computed: with F(-w) = 1 - F(w) both cases are
+    log F(hi) + log1p(-F(lo)/F(hi)) for (hi, lo) = (b, a) or (-a, -b).
+    Returns the clamped log-probabilities and the number of clamped cells.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         use_left = b <= -a
-        lfa = link.log_cdf(a)
-        lfb = link.log_cdf(b)
-        left = lfb + np.log1p(-np.exp(lfa - lfb))
-        lsa = link.log_cdf(-a)
-        lsb = link.log_cdf(-b)
-        right = lsa + np.log1p(-np.exp(lsb - lsa))
-        out = np.where(use_left, left, right)
+        hi = np.where(use_left, b, -a)
+        lo = np.where(use_left, a, -b)
+        log_hi = link.log_cdf(hi)
+        out = log_hi + np.log1p(-np.exp(link.log_cdf(lo) - log_hi))
     n_clamped = int(np.sum(out < _LOG_FLOOR))
     if n_clamped:
         out = np.maximum(out, _LOG_FLOOR)
@@ -139,13 +143,11 @@ def _check_dimensions(spec: ModelSpec, params: ParamVector, data: Dataset) -> No
         raise ValueError(f"delta has length {params.delta.size}, expected J - 2 = {spec.J - 2}")
 
 
-def _bounds(params: ParamVector, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-observation (a, b) = (gamma_{y-1} - x'b, gamma_y - x'b) and xb."""
+def _bounds(params: ParamVector, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-observation (a, b) = (gamma_{y-1} - x'b, gamma_y - x'b)."""
     gamma = cutpoints_from_delta(params.delta)
     xb = data.X @ params.beta
-    a = gamma[data.y - 1] - xb
-    b = gamma[data.y] - xb
-    return a, b, xb
+    return gamma[data.y - 1] - xb, gamma[data.y] - xb
 
 
 def cell_logprob(spec: ModelSpec, xb: float, j: int, gamma: np.ndarray) -> float:
@@ -160,18 +162,6 @@ def cell_logprob(spec: ModelSpec, xb: float, j: int, gamma: np.ndarray) -> float
         raise ValueError(f"category {j} outside 1..{gamma.size - 1}")
     val, _ = _interval_logprob(spec.link, gamma[j - 1] - xb, gamma[j] - xb)
     return float(val)
-
-
-def _loglik_clamped(spec: ModelSpec, params: ParamVector, data: Dataset) -> tuple[float, int]:
-    a, b, _ = _bounds(params, data)
-    logp, n_clamped = _interval_logprob(spec.link, a, b)
-    return float(np.sum(logp)), n_clamped
-
-
-def loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
-    """Sum of per-observation cell log-probabilities."""
-    _check_dimensions(spec, params, data)
-    return _loglik_clamped(spec, params, data)[0]
 
 
 def _spacing_jacobian(delta: np.ndarray) -> np.ndarray:
@@ -189,37 +179,6 @@ def _pdf_ratios(spec: ModelSpec, a, b, logp) -> tuple[np.ndarray, np.ndarray]:
         r_a = np.exp(link.log_pdf(a) - logp)
         r_b = np.exp(link.log_pdf(b) - logp)
     return r_a, r_b
-
-
-def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    """Per-observation score contributions, shape (n, k + J - 2).
-
-    Row sums reproduce ``grad_loglik``; the outer-product of this matrix is
-    the BHHH information approximation used as an optimizer fallback.
-    """
-    _check_dimensions(spec, params, data)
-    a, b, _ = _bounds(params, data)
-    logp, _ = _interval_logprob(spec.link, a, b)
-    r_a, r_b = _pdf_ratios(spec, a, b, logp)
-
-    scores_beta = -data.X * (r_b - r_a)[:, None]
-    m_free = spec.J - 2
-    if m_free == 0:
-        return scores_beta
-
-    y = data.y
-    scores_gamma = np.zeros((data.n, m_free))
-    upper_free = (y >= 2) & (y <= spec.J - 1)  # gamma_y is a free cut-point
-    lower_free = y >= 3                        # gamma_{y-1} is a free cut-point
-    scores_gamma[upper_free, y[upper_free] - 2] = r_b[upper_free]
-    scores_gamma[lower_free, y[lower_free] - 3] -= r_a[lower_free]
-    scores_delta = scores_gamma @ _spacing_jacobian(params.delta)
-    return np.hstack([scores_beta, scores_delta])
-
-
-def grad_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    """Analytic gradient of ``loglik`` in (beta, delta) coordinates."""
-    return score_matrix(spec, params, data).sum(axis=0)
 
 
 def _curvature_terms(spec: ModelSpec, a, b, r_a, r_b):
@@ -240,56 +199,92 @@ def _curvature_terms(spec: ModelSpec, a, b, r_a, r_b):
     return d2aa, d2bb, d2ab
 
 
-def hess_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    """Analytic Hessian of ``loglik`` in (beta, delta) coordinates.
+def _cut_weights(y: np.ndarray, J: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """n x (J - 2) matrix holding ``upper`` in the column of gamma_y and
+    ``lower`` in the column of gamma_{y-1}, wherever that cut-point is free."""
+    W = np.zeros((y.size, J - 2))
+    upper_free = (y >= 2) & (y <= J - 1)  # gamma_y is a free cut-point
+    lower_free = y >= 3                   # gamma_{y-1} is a free cut-point
+    W[upper_free, y[upper_free] - 2] = upper[upper_free]
+    W[lower_free, y[lower_free] - 3] += lower[lower_free]
+    return W
 
-    Assembled from the curvature with respect to the interval bounds, mapped
+
+def _evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, order: int):
+    """One pass over the data: (loglik, clamp count, gradient, Hessian).
+
+    The bounds, log-probabilities, pdf ratios and curvature are computed
+    once and shared. ``order`` 0 returns only the log-likelihood and clamp
+    count, 1 adds the gradient and 2 the Hessian; what is not requested is
+    None. Derivatives are taken with respect to the interval bounds, mapped
     through the (linear) bound Jacobian and then the exp-spacing chain rule;
-    symmetrized before returning.
+    the Hessian is symmetrized before returning.
     """
     _check_dimensions(spec, params, data)
-    X, y, J, k = data.X, data.y, spec.J, spec.k
-    a, b, _ = _bounds(params, data)
+    a, b = _bounds(params, data)
+    logp, n_clamped = _interval_logprob(spec.link, a, b)
+    ll = float(np.sum(logp))
+    if order == 0:
+        return ll, n_clamped, None, None
+
+    X, y, J = data.X, data.y, spec.J
+    r_a, r_b = _pdf_ratios(spec, a, b, logp)
+    A = _spacing_jacobian(params.delta)
+    n_bins = J + 2  # bincount target length
+    grad_gamma = np.bincount(y, r_b, n_bins)[2:J] - np.bincount(y, r_a, n_bins)[3:J + 1]
+    grad_delta = A.T @ grad_gamma
+    grad = np.concatenate([X.T @ (r_a - r_b), grad_delta])
+    if order == 1:
+        return ll, n_clamped, grad, None
+
+    d2aa, d2bb, d2ab = _curvature_terms(spec, a, b, r_a, r_b)
+    H = X.T @ (X * (d2aa + d2bb + 2.0 * d2ab)[:, None])
+    if J > 2:
+        bb_by_cat = np.bincount(y, d2bb, n_bins)
+        aa_by_cat = np.bincount(y, d2aa, n_bins)
+        ab_by_cat = np.bincount(y, d2ab, n_bins)
+        H_gg = (np.diag(bb_by_cat[2:J] + aa_by_cat[3:J + 1])
+                + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
+        H_bg = -X.T @ _cut_weights(y, J, d2bb + d2ab, d2aa + d2ab)
+        H_dd = A.T @ H_gg @ A + np.diag(grad_delta)
+        H_bd = H_bg @ A
+        H = np.block([[H, H_bd], [H_bd.T, H_dd]])
+    return ll, n_clamped, grad, 0.5 * (H + H.T)
+
+
+def _loglik_clamped(spec: ModelSpec, params: ParamVector, data: Dataset) -> tuple[float, int]:
+    return _evaluate(spec, params, data, 0)[:2]
+
+
+def loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
+    """Sum of per-observation cell log-probabilities."""
+    return _loglik_clamped(spec, params, data)[0]
+
+
+def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+    """Per-observation score contributions, shape (n, k + J - 2).
+
+    Row sums reproduce ``grad_loglik`` up to summation order.
+    """
+    _check_dimensions(spec, params, data)
+    a, b = _bounds(params, data)
     logp, _ = _interval_logprob(spec.link, a, b)
     r_a, r_b = _pdf_ratios(spec, a, b, logp)
-    d2aa, d2bb, d2ab = _curvature_terms(spec, a, b, r_a, r_b)
+    scores_beta = data.X * (r_a - r_b)[:, None]
+    if spec.J == 2:
+        return scores_beta
+    scores_gamma = _cut_weights(data.y, spec.J, r_b, -r_a)
+    return np.hstack([scores_beta, scores_gamma @ _spacing_jacobian(params.delta)])
 
-    w_beta = d2aa + d2bb + 2.0 * d2ab
-    H_bb = X.T @ (X * w_beta[:, None])
 
-    m_free = J - 2
-    if m_free == 0:
-        return 0.5 * (H_bb + H_bb.T)
+def grad_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+    """Analytic gradient of ``loglik`` in (beta, delta) coordinates."""
+    return _evaluate(spec, params, data, 1)[2]
 
-    counts = np.arange(J + 2)  # bincount target length
-    bb_by_cat = np.bincount(y, weights=d2bb, minlength=counts.size)
-    aa_by_cat = np.bincount(y, weights=d2aa, minlength=counts.size)
-    ab_by_cat = np.bincount(y, weights=d2ab, minlength=counts.size)
 
-    H_gg = np.zeros((m_free, m_free))
-    np.fill_diagonal(H_gg, bb_by_cat[2:J] + aa_by_cat[3:J + 1])
-    for m in range(m_free - 1):
-        H_gg[m, m + 1] = H_gg[m + 1, m] = ab_by_cat[m + 3]
-
-    H_bg = np.zeros((k, m_free))
-    t_upper = d2bb + d2ab
-    t_lower = d2aa + d2ab
-    for cat in range(2, J):
-        mask = y == cat
-        H_bg[:, cat - 2] -= X[mask].T @ t_upper[mask]
-        mask = y == cat + 1
-        H_bg[:, cat - 2] -= X[mask].T @ t_lower[mask]
-
-    A = _spacing_jacobian(params.delta)
-    grad_gamma = np.array([
-        r_b[y == cat].sum() - r_a[y == cat + 1].sum() for cat in range(2, J)
-    ])
-    grad_delta = A.T @ grad_gamma
-    H_dd = A.T @ H_gg @ A + np.diag(grad_delta)
-    H_bd = H_bg @ A
-
-    H = np.block([[H_bb, H_bd], [H_bd.T, H_dd]])
-    return 0.5 * (H + H.T)
+def hess_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+    """Analytic Hessian of ``loglik`` in (beta, delta) coordinates."""
+    return _evaluate(spec, params, data, 2)[3]
 
 
 def initial_params(spec: ModelSpec, data: Dataset) -> ParamVector:

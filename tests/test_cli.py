@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import discretefit
 from discretefit.cli import main
 
 
@@ -23,6 +28,15 @@ def sim_files(tmp_path):
     ])
     assert rc == 0
     return out, tmp_path / "sim.schema"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import, and every command pays it
+    src = Path(discretefit.__file__).resolve().parents[1]
+    code = "import sys, discretefit.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestSimulate:

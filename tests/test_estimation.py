@@ -143,6 +143,23 @@ class TestOptimizerBehavior:
         assert np.array_equal(a.params.flat, b.params.flat)
         assert a.loglik_fit == b.loglik_fit
 
+    def test_full_step_within_loglik_rounding_is_taken_at_large_n(self):
+        # at n = 200,000 one ulp of |loglik| is about 6e-11; a fixed 1e-12
+        # slack rejected the last Newton step on this draw, and the fit
+        # stopped with max |grad| 5e-5 and converged = False
+        n = 200_000
+        rng = np.random.default_rng([7, 1])
+        X = np.ones((n, 6))
+        common = rng.standard_normal(n)
+        X[:, 1:5] = 0.6 * rng.standard_normal((n, 4)) + 0.4 * common[:, None]
+        X[:, 5] = rng.random(n) < 0.4
+        z = X @ [0.2, 0.5, -0.4, 0.3, -0.2, 0.6] + rng.standard_normal(n)
+        y = 1 + np.searchsorted([0.0, 0.7, 1.4, 2.2], z, side="left")
+        data = Dataset(y=y, X=X, column_names=[f"x{i}" for i in range(6)], J=5)
+        fit = fit_ml(ModelSpec("ordinal", Link.PROBIT, J=5, k=6), data)
+        assert fit.converged
+        assert fit.iterations <= 5
+
     def test_non_convergence_returns_result(self):
         rng = np.random.default_rng(63)
         spec = ModelSpec("binary", Link.PROBIT, J=2, k=3, intercept=True)

@@ -12,11 +12,14 @@ from discretefit import (
     ParamVector,
     cell_logprob,
     cutpoints_from_delta,
+    fit_intercept_only,
+    fit_ml,
     grad_loglik,
     hess_loglik,
     loglik,
     simulate_dataset,
 )
+from discretefit.likelihood import _evaluate, _interval_logprob, score_matrix
 
 from oracles import finite_diff_grad, finite_diff_jac
 
@@ -253,6 +256,65 @@ class TestHessian:
         params = ParamVector([0.2, -0.2, 0.4], [0.0, 0.3])
         H = hess_loglik(spec, params, data)
         np.testing.assert_array_equal(H, H.T)
+
+
+def _two_tail_logprob(link, a, b):
+    """Reference form of ``_interval_logprob``: both tails evaluated for
+    every element, the one on the side of the interval midpoint kept."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        use_left = b <= -a
+        lfa, lfb = link.log_cdf(a), link.log_cdf(b)
+        left = lfb + np.log1p(-np.exp(lfa - lfb))
+        lsa, lsb = link.log_cdf(-a), link.log_cdf(-b)
+        right = lsa + np.log1p(-np.exp(lsb - lsa))
+        return np.where(use_left, left, right)
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_one_tail_logprob_bit_identical_to_two_tail(self, link):
+        rng = np.random.default_rng(31)
+        ends = np.concatenate([
+            [-np.inf, np.inf, 0.0], np.linspace(-40.0, 40.0, 81), rng.uniform(-40.0, 40.0, 300),
+        ])
+        a, b = np.meshgrid(ends, ends)
+        keep = a < b
+        lo = rng.uniform(-40.0, 40.0, 2000)
+        narrow = lo + 10.0 ** rng.uniform(-12.0, 0.0, lo.size)
+        a = np.concatenate([a[keep], lo])
+        b = np.concatenate([b[keep], narrow])
+        want = _two_tail_logprob(link, a, b)
+        got, n_clamped = _interval_logprob(link, a, b)
+        assert n_clamped == int(np.sum(want < -745.0))
+        np.testing.assert_array_equal(got, np.maximum(want, -745.0))
+
+    @pytest.mark.parametrize("family,J", [("binary", 2), ("ordinal", 3), ("ordinal", 5)])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_evaluate_orders_agree_with_public_kernels(self, family, J, link):
+        spec, data = _random_instance(family, link, J=J, n=300, seed=41)
+        params = ParamVector([0.2, -0.5, 0.3], np.linspace(-0.2, 0.3, J - 2))
+        ll0, clamps0, grad0, H0 = _evaluate(spec, params, data, 0)
+        ll1, clamps1, grad1, H1 = _evaluate(spec, params, data, 1)
+        ll2, clamps2, grad2, H2 = _evaluate(spec, params, data, 2)
+        assert grad0 is None and H0 is None and H1 is None
+        assert ll0 == ll1 == ll2 == loglik(spec, params, data)
+        assert clamps0 == clamps1 == clamps2 == 0
+        np.testing.assert_array_equal(grad1, grad2)
+        np.testing.assert_array_equal(grad1, grad_loglik(spec, params, data))
+        np.testing.assert_array_equal(H2, hess_loglik(spec, params, data))
+        # the per-observation scores sum to the gradient up to rounding
+        scores = score_matrix(spec, params, data)
+        assert scores.shape == (data.n, spec.n_params)
+        np.testing.assert_allclose(grad1, scores.sum(axis=0), rtol=1e-12, atol=1e-11)
+
+    @pytest.mark.parametrize("family,J", [("binary", 2), ("ordinal", 3), ("ordinal", 5)])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_closed_form_baseline_matches_intercept_only_fit(self, family, J, link):
+        spec, data = _random_instance(family, link, J=J, n=2000, seed=43)
+        fit = fit_ml(spec, data)
+        baseline = fit_intercept_only(spec, data)
+        assert baseline.converged
+        assert fit.loglik_0 == pytest.approx(baseline.loglik_fit, rel=1e-10)
 
 
 class TestModelSpecValidation:
