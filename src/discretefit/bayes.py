@@ -1,13 +1,16 @@
-"""Gibbs sampling for binary and ordinal probit via data augmentation.
+"""Gibbs sampling for the probit model via data augmentation.
 
-Each sweep draws the latent utilities z element-wise from normals truncated
-to the interval their observed category dictates, then draws the coefficient
-block from its conjugate multivariate normal full conditional
-N((B0^-1 + X'X)^-1 (B0^-1 b0 + X'z), (B0^-1 + X'X)^-1). For the ordinal model
-the transformed cut-points (log spacings, so order is preserved by
-construction) move first in each sweep through a random-walk
-Metropolis-Hastings step whose acceptance ratio uses the ordinal likelihood
-with z integrated out, together with the cut-point prior.
+One sweep loop serves every J >= 2; binary data is its J = 2 case. Each
+sweep first moves the transformed cut-points (log spacings, so order is
+preserved by construction) through a random-walk Metropolis-Hastings step
+whose acceptance ratio uses the ordinal likelihood with z integrated out,
+together with the cut-point prior. With J = 2 there is no free cut-point and
+this block is skipped. The sweep then draws the latent utilities z
+element-wise from normals truncated to the interval their observed category
+dictates, and the coefficient block from its conjugate multivariate normal
+full conditional N((B0^-1 + X'X)^-1 (B0^-1 b0 + X'z), (B0^-1 + X'X)^-1).
+Chains start from the share-quantile values of ``likelihood.initial_params``,
+or from zero when some category is unobserved.
 
 Default priors are weakly informative: beta ~ N(0, 100 I) and each log
 spacing ~ N(0, 25). With no data the samplers reproduce the prior.
@@ -106,6 +109,14 @@ def _coef_sampler(X: np.ndarray, b0: np.ndarray, B0: np.ndarray):
     return draw
 
 
+def _latent_bounds(delta: np.ndarray, y: np.ndarray, debug: bool):
+    """Interval (gamma_{y-1}, gamma_y] of each latent utility."""
+    gamma = lk.cutpoints_from_delta(delta)
+    if debug:
+        assert np.all(np.diff(gamma) > 0.0)
+    return gamma[y - 1], gamma[y]
+
+
 def _delta_names(J: int) -> list[str]:
     return [f"delta{j}" for j in range(2, J)]
 
@@ -120,37 +131,7 @@ def gibbs_binary_probit(data: Dataset, prior: PriorSpec | None = None,
     """
     if data.J != 2:
         raise ValueError("gibbs_binary_probit needs binary (J = 2) data")
-    if not S > burn >= 0:
-        raise ValueError(f"need S > burn >= 0, got S = {S}, burn = {burn}")
-    prior = prior or PriorSpec()
-    rng, seed = _resolve_rng(rng)
-    k = data.X.shape[1]
-    b0, B0 = prior.resolved(k)
-    draw_beta = _coef_sampler(data.X, b0, B0)
-
-    success = data.y == 2
-    lower = np.where(success, 0.0, -np.inf)
-    upper = np.where(success, np.inf, 0.0)
-
-    beta = np.zeros(k)
-    beta_draws = np.empty((S, k))
-    z = None
-    for s in range(S):
-        if data.n:
-            z = trunc_norm_draws(data.X @ beta, lower, upper, rng)
-            if debug:
-                assert np.all(z[success] > 0.0) and np.all(z[~success] <= 0.0)
-        else:
-            z = np.zeros(0)
-        beta = draw_beta(z, rng)
-        beta_draws[s] = beta
-
-    return ChainDraws(
-        beta=beta_draws, delta=np.zeros((S, 0)),
-        param_names=list(data.column_names), burn=burn,
-        accept_rate=None, seed=seed,
-        latent_z=None if z is None or not z.size else z,
-    )
+    return _gibbs_probit(data, prior, S, burn, rng, debug)
 
 
 def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
@@ -168,6 +149,16 @@ def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
         raise ValueError("ordinal sampler needs J >= 3 categories")
     if mh_step <= 0:
         raise ValueError(f"mh_step must be positive, got {mh_step}")
+    return _gibbs_probit(data, prior, S, burn, rng, debug, mh_step)
+
+
+def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
+                  rng, debug: bool, mh_step: float = 0.0) -> ChainDraws:
+    """The sweep loop shared by both samplers, for any J >= 2.
+
+    With J = 2 the cut-point block is empty: no likelihood pass, no MH
+    draws (``mh_step`` is unused), and ``accept_rate`` is None.
+    """
     if not S > burn >= 0:
         raise ValueError(f"need S > burn >= 0, got S = {S}, burn = {burn}")
     prior = prior or PriorSpec()
@@ -189,38 +180,40 @@ def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
     delta_draws = np.empty((S, m_free))
     accepted = 0
     half_prec = 0.5 / prior.delta_var
-    cur_ll = lk.loglik(spec, ParamVector(beta, delta), data)
-    cur_prior = -half_prec * float(delta @ delta)
+    if m_free:
+        cur_ll = lk.loglik(spec, ParamVector(beta, delta), data)
+        cur_prior = -half_prec * float(delta @ delta)
+    lower, upper = _latent_bounds(delta, data.y, debug)
     z = np.zeros(0)
 
     for s in range(S):
         # cut-point block: random-walk MH on the log spacings
-        proposal = delta + mh_step * rng.standard_normal(m_free)
-        prop_ll = lk.loglik(spec, ParamVector(beta, proposal), data)
-        prop_prior = -half_prec * float(proposal @ proposal)
-        log_ratio = (prop_ll + prop_prior) - (cur_ll + cur_prior)
-        if rng.uniform() < math.exp(min(0.0, log_ratio)):
-            delta = proposal
-            cur_ll, cur_prior = prop_ll, prop_prior
-            accepted += 1
-        gamma = lk.cutpoints_from_delta(delta)
-        if debug:
-            assert np.all(np.diff(gamma) > 0.0)
+        if m_free:
+            proposal = delta + mh_step * rng.standard_normal(m_free)
+            prop_ll = lk.loglik(spec, ParamVector(beta, proposal), data)
+            prop_prior = -half_prec * float(proposal @ proposal)
+            log_ratio = (prop_ll + prop_prior) - (cur_ll + cur_prior)
+            if rng.uniform() < math.exp(min(0.0, log_ratio)):
+                delta = proposal
+                cur_ll, cur_prior = prop_ll, prop_prior
+                accepted += 1
+                lower, upper = _latent_bounds(delta, data.y, debug)
 
         # latent utilities, then the coefficient block
         if data.n:
-            z = trunc_norm_draws(data.X @ beta, gamma[data.y - 1], gamma[data.y], rng)
+            z = trunc_norm_draws(data.X @ beta, lower, upper, rng)
             if debug:
-                assert np.all(gamma[data.y - 1] < z) and np.all(z <= gamma[data.y])
+                assert np.all(lower < z) and np.all(z <= upper)
         beta = draw_beta(z, rng)
-        cur_ll = lk.loglik(spec, ParamVector(beta, delta), data)
+        if m_free:
+            cur_ll = lk.loglik(spec, ParamVector(beta, delta), data)
         beta_draws[s] = beta
         delta_draws[s] = delta
 
     return ChainDraws(
         beta=beta_draws, delta=delta_draws,
         param_names=list(data.column_names) + _delta_names(data.J),
-        burn=burn, accept_rate=accepted / S, seed=seed,
+        burn=burn, accept_rate=accepted / S if m_free else None, seed=seed,
         latent_z=z if z.size else None,
     )
 

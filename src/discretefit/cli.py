@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -203,22 +204,11 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_bayes(config: RunConfig) -> int:
-    dataset, schema, report, = _load_dataset(config)
+    dataset, schema, report = _load_dataset(config)
     out = config.out or Path("chain")
-    if config.family == "binary":
-        if dataset.J != 2:
-            raise InputError("binary family needs exactly 2 response labels")
-        chain = bayes.gibbs_binary_probit(
-            dataset, S=config.draws, burn=config.burn, rng=config.seed,
-        )
-    else:
-        try:
-            chain = bayes.gibbs_ordinal_probit(
-                dataset, S=config.draws, burn=config.burn,
-                mh_step=config.mh_step, rng=config.seed,
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+    sample = (bayes.gibbs_binary_probit if config.family == "binary"
+              else partial(bayes.gibbs_ordinal_probit, mh_step=config.mh_step))
+    chain = sample(dataset, S=config.draws, burn=config.burn, rng=config.seed)
     chain.save_csv(Path(f"{out}.csv"))
     summary = bayes.posterior_summary(chain)
     Path(f"{out}.txt").write_text(bayes.summary_text(chain), encoding="utf-8")
@@ -233,77 +223,64 @@ def cmd_bayes(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; an option left out keeps its ``RunConfig`` default."""
     parser = argparse.ArgumentParser(
         prog="discretefit",
         description="Binary and ordinal probit/logit regression",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_model=True):
-        p.add_argument("--data", type=Path, help="CSV data file")
-        p.add_argument("--schema", type=Path, help="schema config file")
-        if with_model:
-            p.add_argument("--family", choices=["binary", "ordinal"], default="binary")
-            p.add_argument("--link", choices=["probit", "logit"], default="probit")
+    def add_command(name, help_text):
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--data", dest="data_path", metavar="DATA", type=Path,
+                       help="CSV data file")
+        p.add_argument("--schema", dest="schema_path", metavar="SCHEMA", type=Path,
+                       help="schema config file")
+        p.add_argument("--family", choices=["binary", "ordinal"])
+        p.add_argument("--link", choices=["probit", "logit"])
         p.add_argument("--out", type=Path, help="output path (prefix for report files)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int)
+        return p
 
-    p_fit = sub.add_parser("fit", help="maximum-likelihood fit with a summary report")
-    add_common(p_fit)
-    p_fit.add_argument("--max-iter", type=int, default=100)
-    p_fit.add_argument("--tol", type=float, default=1e-8)
-
-    p_eff = sub.add_parser("effects", help="average covariate effects from a fresh fit")
-    add_common(p_eff)
-    p_eff.add_argument("--max-iter", type=int, default=100)
-    p_eff.add_argument("--tol", type=float, default=1e-8)
-    p_eff.add_argument("--scale", action="append", default=[], metavar="COL=MULT",
+    p_fit = add_command("fit", "maximum-likelihood fit with a summary report")
+    p_eff = add_command("effects", "average covariate effects from a fresh fit")
+    for p in (p_fit, p_eff):
+        p.add_argument("--max-iter", type=int)
+        p.add_argument("--tol", type=float)
+    p_eff.add_argument("--scale", dest="scales", action="append", metavar="COL=MULT",
                        help="report a continuous effect per MULT units")
-    p_eff.add_argument("--pfilter", type=float, default=None,
+    p_eff.add_argument("--pfilter", type=float,
                        help="only report covariates with p below this level")
-    p_eff.add_argument("--columns", type=str, default=None,
+    p_eff.add_argument("--columns", type=str,
                        help="comma-separated covariates to report (default: all)")
 
-    p_sim = sub.add_parser("simulate", help="write a synthetic dataset and matching schema")
-    add_common(p_sim)
+    p_sim = add_command("simulate", "write a synthetic dataset and matching schema")
     p_sim.add_argument("--beta", type=str, required=True,
                        help="comma-separated true coefficients (first is the intercept)")
-    p_sim.add_argument("--cutpoints", type=str, default="",
+    p_sim.add_argument("--cutpoints", type=str,
                        help="comma-separated free interior cut-points (empty for binary)")
-    p_sim.add_argument("--n", type=int, default=1000)
-    p_sim.add_argument("--schema-out", type=Path, default=None)
+    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--schema-out", type=Path)
 
-    p_bayes = sub.add_parser("bayes", help="Gibbs sampler for the probit models")
-    add_common(p_bayes)
-    p_bayes.add_argument("--draws", type=int, default=11000)
-    p_bayes.add_argument("--burn", type=int, default=1000)
-    p_bayes.add_argument("--mh-step", type=float, default=0.1)
+    p_bayes = add_command("bayes", "Gibbs sampler for the probit models")
+    p_bayes.add_argument("--draws", type=int)
+    p_bayes.add_argument("--burn", type=int)
+    p_bayes.add_argument("--mh-step", type=float)
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(subcommand=args.subcommand)
-    config.data_path = getattr(args, "data", None)
-    config.schema_path = getattr(args, "schema", None)
-    config.family = getattr(args, "family", "binary")
-    config.link = getattr(args, "link", "probit")
-    config.out = getattr(args, "out", None)
-    config.seed = getattr(args, "seed", DEFAULT_SEED)
-    config.max_iter = getattr(args, "max_iter", 100)
-    config.tol = getattr(args, "tol", 1e-8)
-    config.scales = _parse_scales(getattr(args, "scale", []) or [])
-    config.pfilter = getattr(args, "pfilter", None)
-    columns = getattr(args, "columns", None)
-    config.columns = [c.strip() for c in columns.split(",")] if columns else None
-    config.draws = getattr(args, "draws", 11000)
-    config.burn = getattr(args, "burn", 1000)
-    config.mh_step = getattr(args, "mh_step", 0.1)
-    config.beta = _parse_float_list(getattr(args, "beta", "") or "")
-    config.cutpoints = _parse_float_list(getattr(args, "cutpoints", "") or "")
-    config.n = getattr(args, "n", 1000)
-    config.schema_out = getattr(args, "schema_out", None)
-    return config
+    values = dict(vars(args))
+    if "scales" in values:
+        values["scales"] = _parse_scales(values["scales"])
+    if "columns" in values:
+        columns = values["columns"]
+        values["columns"] = [c.strip() for c in columns.split(",")] if columns else None
+    for key in ("beta", "cutpoints"):
+        if key in values:
+            values[key] = _parse_float_list(values[key])
+    return RunConfig(**values)
 
 
 _COMMANDS = {

@@ -294,6 +294,8 @@ def initial_params(spec: ModelSpec, data: Dataset) -> ParamVector:
     the cut-point spacings to differences of share quantiles, so the start
     is always interior and an intercept-only fit starts at its optimum.
     """
+    if data.n == 0:
+        raise ValueError("no observations to take starting values from")
     counts = np.bincount(data.y, minlength=spec.J + 1)[1:]
     cum_shares = np.cumsum(counts)[:-1] / data.n
     if np.any(cum_shares <= 0.0) or np.any(cum_shares >= 1.0):

@@ -11,6 +11,7 @@ from discretefit import (
     Link,
     ModelSpec,
     PriorSpec,
+    bayes,
     fit_ml,
     gibbs_binary_probit,
     gibbs_ordinal_probit,
@@ -80,6 +81,19 @@ class TestBinarySampler:
         with pytest.raises(ValueError):
             gibbs_binary_probit(_empty_binary(), S=100, burn=-1, rng=1)
 
+    def test_empty_cutpoint_block_makes_no_likelihood_pass(self, monkeypatch):
+        # J = 2 leaves no cut-point to move, so the sweep never needs loglik
+        def no_loglik(*args, **kwargs):
+            raise AssertionError("binary chain evaluated the likelihood")
+
+        rng = np.random.default_rng(911)
+        spec = ModelSpec("binary", Link.PROBIT, J=2, k=2, intercept=True)
+        data = simulate_dataset(spec, [0.2, 0.5], [], 300, rng)
+        monkeypatch.setattr(bayes.lk, "loglik", no_loglik)
+        chain = gibbs_binary_probit(data, S=60, burn=10, rng=27)
+        assert chain.accept_rate is None
+        assert chain.delta.shape == (60, 0)
+
 
 class TestOrdinalSampler:
     def _instance(self, n=2000, seed=904):
@@ -117,6 +131,21 @@ class TestOrdinalSampler:
         data = simulate_dataset(spec, [0.0], [], 100, rng)
         with pytest.raises(ValueError, match="gibbs_binary_probit"):
             gibbs_ordinal_probit(data)
+
+    def test_no_data_recovers_prior(self):
+        empty = Dataset(y=np.zeros(0, dtype=int), X=np.zeros((0, 2)),
+                        column_names=["b0", "b1"], J=3)
+        # mh_step 12 is about 2.4 prior sds: acceptance near 0.45
+        chain = gibbs_ordinal_probit(empty, S=10_000, burn=0, mh_step=12.0, rng=28)
+        beta, delta = chain.beta, chain.delta[:, 0]
+        # beta draws are iid N(0, 100): MC error 0.1 for the mean, 1.4 for the variance
+        np.testing.assert_allclose(beta.mean(axis=0), 0.0, atol=0.4)
+        np.testing.assert_allclose(beta.var(axis=0, ddof=1), 100.0, atol=6.0)
+        # delta follows a random walk on N(0, 25); over 40 seeds the spread
+        # was 0.10 for the mean and 0.71 for the variance
+        assert np.all(np.isfinite(delta))
+        assert abs(delta.mean()) < 0.5
+        assert abs(delta.var(ddof=1) - 25.0) < 4.0
 
     def test_mh_step_validated(self):
         _, data = self._instance(n=200)

@@ -190,6 +190,28 @@ class TestBayes:
         ])
         assert rc == 1
 
+    def test_ordinal_family_on_binary_data_is_input_error(self, tmp_path, capsys):
+        sim = tmp_path / "bin.csv"
+        assert run(["simulate", "--family", "binary", "--beta", "0.3,0.4",
+                    "--n", "200", "--out", sim]) == 0
+        rc = run([
+            "bayes", "--data", sim, "--schema", tmp_path / "bin.schema",
+            "--family", "ordinal", "--draws", "200", "--burn", "50",
+            "--out", tmp_path / "ch",
+        ])
+        assert rc == 1
+        assert "gibbs_binary_probit" in capsys.readouterr().err
+
+    def test_nonpositive_mh_step_is_input_error(self, sim_files, tmp_path, capsys):
+        data_path, schema_path = sim_files
+        rc = run([
+            "bayes", "--data", data_path, "--schema", schema_path,
+            "--family", "ordinal", "--draws", "200", "--burn", "50",
+            "--mh-step", "0", "--out", tmp_path / "ch",
+        ])
+        assert rc == 1
+        assert "mh_step" in capsys.readouterr().err
+
 
 class TestReproducibility:
     def _pipeline(self, workdir):
