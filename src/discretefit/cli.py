@@ -40,7 +40,7 @@ class RunConfig:
     subcommand: str
     data_path: Path | None = None
     schema_path: Path | None = None
-    family: str = "binary"
+    family: str | None = None
     link: str = "probit"
     out: Path | None = None
     seed: int = DEFAULT_SEED
@@ -56,6 +56,10 @@ class RunConfig:
     cutpoints: list[float] = field(default_factory=list)
     n: int = 1000
     schema_out: Path | None = None
+
+    def family_for(self, J: int) -> str:
+        """The ``--family`` given, or the one J implies when it is omitted."""
+        return self.family or ("binary" if J == 2 else "ordinal")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -96,12 +100,8 @@ def _load_dataset(config: RunConfig):
 
 
 def _model_spec(config: RunConfig, dataset) -> likelihood.ModelSpec:
-    if config.family == "binary" and dataset.J != 2:
-        raise InputError(
-            f"binary family needs exactly 2 response labels, schema declares {dataset.J}"
-        )
     return likelihood.ModelSpec.for_dataset(
-        family=config.family, link=config.link, data=dataset,
+        family=config.family_for(dataset.J), link=config.link, data=dataset,
         intercept="intercept" in dataset.column_names,
     )
 
@@ -180,12 +180,11 @@ def cmd_simulate(config: RunConfig) -> int:
     if not config.beta:
         raise InputError("--beta is required for simulate")
     J = len(config.cutpoints) + 2
-    family = "binary" if J == 2 else "ordinal"
-    if config.family and config.family != family:
-        if config.family == "ordinal" and J == 2:
-            raise InputError("ordinal simulation needs at least one --cutpoints value")
-        if config.family == "binary" and J != 2:
-            raise InputError("binary simulation takes no --cutpoints")
+    family = config.family_for(J)
+    if family == "ordinal" and J == 2:
+        raise InputError("ordinal simulation needs at least one --cutpoints value")
+    if family == "binary" and J != 2:
+        raise InputError("binary simulation takes no --cutpoints")
     spec = likelihood.ModelSpec(
         family=family, link=config.link, J=J, k=len(config.beta), intercept=True,
     )
@@ -204,9 +203,13 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_bayes(config: RunConfig) -> int:
+    if config.link != "probit":
+        raise InputError(
+            f"the Gibbs sampler is probit-only; --link {config.link} is not supported"
+        )
     dataset, schema, report = _load_dataset(config)
     out = config.out or Path("chain")
-    sample = (bayes.gibbs_binary_probit if config.family == "binary"
+    sample = (bayes.gibbs_binary_probit if config.family_for(dataset.J) == "binary"
               else partial(bayes.gibbs_ordinal_probit, mh_step=config.mh_step))
     chain = sample(dataset, S=config.draws, burn=config.burn, rng=config.seed)
     chain.save_csv(Path(f"{out}.csv"))

@@ -9,7 +9,11 @@ contain commas and newlines). A schema config then drives the encoding:
 * ``categorical`` covariates expand to one 0/1 indicator per non-base level,
   columns named ``<col>=<level>``,
 * response labels map to 1..J in the order the schema lists them; category
-  order is semantic and never inferred from the data.
+  order is semantic and never inferred from the data,
+* the first fault is reported: an unknown column, then a missing base level,
+  then an unknown response label, then the covariates in declaration order;
+  within a column, the first kept row whose cell is unparseable, non-finite
+  or, for ``log``, not positive.
 
 Schema files are flat ``key = value`` text with ``#`` comments::
 
@@ -223,88 +227,83 @@ def read_csv(path) -> RawTable:
     return parse_csv(Path(path).read_bytes())
 
 
-def _float_cell(cell: str, row: int, column: str) -> float:
+def _number(cell: str) -> float | None:
+    """``float(cell)``, or None when the cell does not parse as a number."""
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
-        raise EncodingError(f"row {row}, column {column!r}: cannot parse {cell!r} as a number") from None
-    if not math.isfinite(value):
-        raise EncodingError(f"row {row}, column {column!r}: non-finite value {cell!r}")
-    return value
+        return None
 
 
 def build_dataset(raw: RawTable, schema: SchemaConfig) -> tuple[Dataset, EncodingReport]:
     """Encode a RawTable under a schema; rows with missing tokens are dropped.
 
-    Categorical levels are taken from the raw column before any rows are
-    dropped; a level whose every carrier row gets dropped still produces its
-    (all-zero) indicator column, with a warning in the report.
+    Each used column is read once. Categorical levels are taken from the raw
+    column before any rows are dropped; a level whose every carrier row gets
+    dropped still produces its (all-zero) indicator column, with a warning in
+    the report.
     """
     missing = {tok.strip() for tok in schema.missing}
-    resp_idx = raw.column_index(schema.response)
-    cov_idx = {cov.name: raw.column_index(cov.name) for cov in schema.covariates}
+    used = [schema.response] + [cov.name for cov in schema.covariates]
+    indices = [raw.column_index(name) for name in used]
     label_code = {label: j for j, label in enumerate(schema.labels, start=1)}
+    cells = [np.array([row[i].strip() for row in raw.rows], dtype=object) for i in indices]
+    keep = ~np.logical_or.reduce([np.isin(col, list(missing)) for col in cells])
 
-    levels: dict[str, list[str]] = {}
-    for cov in schema.covariates:
-        if cov.kind == KIND_CATEGORICAL:
-            observed = {row[cov_idx[cov.name]].strip() for row in raw.rows}
-            observed -= missing
-            if cov.base not in observed:
-                raise SchemaError(
-                    f"base level {cov.base!r} of covariate {cov.name!r} does not occur in the data"
-                )
-            levels[cov.name] = sorted(observed - {cov.base})
+    for cov, col in zip(schema.covariates, cells[1:]):
+        if cov.kind == KIND_CATEGORICAL and (cov.base in missing or cov.base not in col):
+            raise SchemaError(
+                f"base level {cov.base!r} of covariate {cov.name!r} does not occur in the data"
+            )
 
-    kept_rows: list[int] = []
-    y_codes: list[int] = []
-    for i, row in enumerate(raw.rows, start=1):
-        cells = [row[resp_idx]] + [row[cov_idx[c.name]] for c in schema.covariates]
-        if any(cell.strip() in missing for cell in cells):
-            continue
-        resp = row[resp_idx].strip()
-        if resp not in label_code:
-            raise EncodingError(f"row {i}: unknown response label {resp!r}")
-        kept_rows.append(i)
-        y_codes.append(label_code[resp])
+    rows = np.flatnonzero(keep) + 1  # 1-based numbers of the kept rows
+    labels = cells[0][keep]
+    y = np.array([label_code.get(label, 0) for label in labels.tolist()], dtype=int)
+    if not y.all():
+        i = (y == 0).argmax()
+        raise EncodingError(f"row {rows[i]}: unknown response label {labels[i]!r}")
 
     names: list[str] = ["intercept"] if schema.intercept else []
-    columns: list[np.ndarray] = [np.ones(len(kept_rows))] if schema.intercept else []
+    columns: list[np.ndarray] = [np.ones(rows.size)] if schema.intercept else []
     warnings: list[str] = []
-    for cov in schema.covariates:
-        idx = cov_idx[cov.name]
-        if cov.kind in (KIND_CONTINUOUS, KIND_LOG):
-            vals = np.empty(len(kept_rows))
-            for out_i, i in enumerate(kept_rows):
-                value = _float_cell(raw.rows[i - 1][idx].strip(), i, cov.name)
-                if cov.kind == KIND_LOG:
-                    if value <= 0.0:
-                        raise EncodingError(
-                            f"row {i}, column {cov.name!r}: log transform of non-positive value {value}"
-                        )
-                    value = math.log(value)
-                vals[out_i] = value
-            names.append(cov.name)
-            columns.append(vals)
-        else:
-            for level in levels[cov.name]:
-                indicator = np.array(
-                    [1.0 if raw.rows[i - 1][idx].strip() == level else 0.0 for i in kept_rows]
-                )
-                if kept_rows and not indicator.any():
-                    warnings.append(
-                        f"level {level!r} of {cov.name!r} has no remaining observations; "
-                        "indicator column is all zeros"
-                    )
-                names.append(f"{cov.name}={level}")
-                columns.append(indicator)
+    for cov, all_cells in zip(schema.covariates, cells[1:]):
+        col = all_cells[keep]
+        if cov.kind == KIND_CATEGORICAL:
+            levels = sorted(set(all_cells.tolist()) - missing - {cov.base})
+            block = (col[:, None] == np.array(levels, dtype=object)).astype(float)
+            names += [f"{cov.name}={level}" for level in levels]
+            warnings += [
+                f"level {level!r} of {cov.name!r} has no remaining observations; "
+                "indicator column is all zeros"
+                for level, seen in zip(levels, block.any(axis=0)) if rows.size and not seen
+            ]
+            columns.append(block)
+            continue
+        parsed = [_number(cell) for cell in col.tolist()]
+        values = np.array(parsed, dtype=float)  # an unparseable cell (None) reads NaN
+        bad = ~np.isfinite(values)
+        if cov.kind == KIND_LOG:
+            bad |= values <= 0.0
+        if bad.any():
+            i = bad.argmax()
+            cell, value = col[i], parsed[i]
+            fault = (f"cannot parse {cell!r} as a number" if value is None
+                     else f"non-finite value {cell!r}" if not math.isfinite(value)
+                     else f"log transform of non-positive value {value}")
+            raise EncodingError(f"row {rows[i]}, column {cov.name!r}: {fault}")
+        if cov.kind == KIND_LOG:
+            # math.log, not np.log: the two differ in the last bit on some inputs
+            values = np.array([math.log(value) for value in parsed])
+        names.append(cov.name)
+        columns.append(values)
 
-    X = np.column_stack(columns) if columns else np.zeros((len(kept_rows), 0))
-    dataset = Dataset(y=np.asarray(y_codes, dtype=int), X=X, column_names=names, J=schema.J)
+    del cells  # free the cell arrays before column_stack copies the columns into X
+    X = np.column_stack(columns) if columns else np.zeros((rows.size, 0))
+    dataset = Dataset(y=y, X=X, column_names=names, J=schema.J)
     report = EncodingReport(
         n_raw=raw.n_raw,
-        n_dropped=raw.n_raw - len(kept_rows),
-        n=len(kept_rows),
+        n_dropped=raw.n_raw - rows.size,
+        n=rows.size,
         warnings=warnings,
     )
     return dataset, report

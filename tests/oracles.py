@@ -5,6 +5,7 @@ from a high-precision Taylor series for erf (>= 30 terms, evaluated in
 50-digit arithmetic), far tails from the asymptotic Mills-ratio expansion,
 quantiles from bisection on the series, and chi-square tails from a direct
 series / continued-fraction evaluation of the regularized incomplete gamma.
+``encode_rowwise`` is a row-by-row reference for the schema encoder.
 """
 
 from __future__ import annotations
@@ -163,3 +164,82 @@ def ks_statistic(draws: np.ndarray, cdf) -> float:
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return float(max(upper, lower))
+
+
+def encode_rowwise(raw, schema):
+    """Row-by-row reference for ``discretefit.data.build_dataset``.
+
+    Reads only the plain attributes of the table (``columns``, ``rows``) and
+    of the schema. Returns ``(X, y, names, (n_raw, n_dropped, n, warnings))``,
+    or raises ValueError with the message the encoder gives for the input:
+    unknown columns first, then missing base levels, then the first kept row
+    with an unknown label, then each covariate's first faulty kept row.
+    """
+    missing = {tok.strip() for tok in schema.missing}
+
+    def index(name):
+        if name not in raw.columns:
+            raise ValueError(f"column {name!r} not present in the data")
+        return raw.columns.index(name)
+
+    resp_idx = index(schema.response)
+    cov_idx = {cov.name: index(cov.name) for cov in schema.covariates}
+    label_code = {label: j for j, label in enumerate(schema.labels, start=1)}
+    levels = {}
+    for cov in schema.covariates:
+        if cov.kind == "categorical":
+            observed = {row[cov_idx[cov.name]].strip() for row in raw.rows} - missing
+            if cov.base not in observed:
+                raise ValueError(
+                    f"base level {cov.base!r} of covariate {cov.name!r} does not occur in the data"
+                )
+            levels[cov.name] = sorted(observed - {cov.base})
+
+    kept, y = [], []
+    for i, row in enumerate(raw.rows, start=1):
+        cells = [row[resp_idx]] + [row[cov_idx[cov.name]] for cov in schema.covariates]
+        if any(cell.strip() in missing for cell in cells):
+            continue
+        label = row[resp_idx].strip()
+        if label not in label_code:
+            raise ValueError(f"row {i}: unknown response label {label!r}")
+        kept.append(i)
+        y.append(label_code[label])
+
+    names = ["intercept"] if schema.intercept else []
+    columns = [[1.0] * len(kept)] if schema.intercept else []
+    warnings = []
+    for cov in schema.covariates:
+        idx = cov_idx[cov.name]
+        if cov.kind == "categorical":
+            for level in levels[cov.name]:
+                indicator = [1.0 if raw.rows[i - 1][idx].strip() == level else 0.0 for i in kept]
+                if kept and not any(indicator):
+                    warnings.append(
+                        f"level {level!r} of {cov.name!r} has no remaining observations; "
+                        "indicator column is all zeros"
+                    )
+                names.append(f"{cov.name}={level}")
+                columns.append(indicator)
+            continue
+        values = []
+        for i in kept:
+            cell = raw.rows[i - 1][idx].strip()
+            where = f"row {i}, column {cov.name!r}"
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{where}: cannot parse {cell!r} as a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: non-finite value {cell!r}")
+            if cov.kind == "log":
+                if value <= 0.0:
+                    raise ValueError(f"{where}: log transform of non-positive value {value}")
+                value = math.log(value)
+            values.append(value)
+        names.append(cov.name)
+        columns.append(values)
+
+    X = np.array(columns, dtype=float).reshape(len(columns), len(kept)).T
+    n_raw = len(raw.rows)
+    return X, np.array(y, dtype=int), names, (n_raw, n_raw - len(kept), len(kept), warnings)

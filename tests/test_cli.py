@@ -55,6 +55,24 @@ class TestSimulate:
         assert run(args + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_omitted_family_follows_the_cutpoints(self, tmp_path):
+        out = tmp_path / "o.csv"
+        rc = run(["simulate", "--beta", "0.3,0.5", "--cutpoints", "1.0",
+                  "--n", "200", "--out", out])
+        assert rc == 0
+        assert "labels = 1, 2, 3" in (tmp_path / "o.schema").read_text()
+
+    @pytest.mark.parametrize("family, cutpoints, message", [
+        ("binary", "1.0", "binary simulation takes no --cutpoints"),
+        ("ordinal", "", "ordinal simulation needs at least one --cutpoints value"),
+    ])
+    def test_contradicting_family_is_input_error(self, tmp_path, capsys, family, cutpoints,
+                                                 message):
+        rc = run(["simulate", "--family", family, "--beta", "0.3,0.5",
+                  "--cutpoints", cutpoints, "--out", tmp_path / "o.csv"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
     def test_bad_cutpoints_rejected(self, tmp_path, capsys):
         rc = run([
             "simulate", "--family", "ordinal", "--beta", "0.1",
@@ -83,6 +101,21 @@ class TestFit:
         assert f"McFadden R2 = {payload['mcfadden_r2']:.4f}" in text
         assert f"hit rate = {payload['hit_rate']:.4f}%" in text
         assert f"LR chi2({payload['lr_df']}) = {payload['lr_stat']:.4f}" in text
+
+    def test_omitted_family_fits_ordinal_on_three_labels(self, sim_files, tmp_path):
+        data_path, schema_path = sim_files
+        rc = run(["fit", "--data", data_path, "--schema", schema_path, "--out", tmp_path / "rep"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "rep.json").read_text())
+        assert payload["model"]["family"] == "ordinal"
+        assert payload["model"]["J"] == 3
+
+    def test_binary_family_on_three_labels_is_input_error(self, sim_files, tmp_path, capsys):
+        data_path, schema_path = sim_files
+        rc = run(["fit", "--data", data_path, "--schema", schema_path,
+                  "--family", "binary", "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert "binary" in capsys.readouterr().err
 
     def test_missing_schema_exits_1_naming_path(self, sim_files, tmp_path, capsys):
         data_path, _ = sim_files
@@ -201,6 +234,25 @@ class TestBayes:
         ])
         assert rc == 1
         assert "gibbs_binary_probit" in capsys.readouterr().err
+
+    def test_logit_link_is_input_error(self, sim_files, tmp_path, capsys):
+        data_path, schema_path = sim_files
+        rc = run([
+            "bayes", "--data", data_path, "--schema", schema_path,
+            "--family", "ordinal", "--link", "logit", "--draws", "200", "--burn", "50",
+            "--out", tmp_path / "ch",
+        ])
+        assert rc == 1
+        assert "probit-only" in capsys.readouterr().err
+        assert not (tmp_path / "ch.csv").exists()
+
+    def test_omitted_family_samples_the_binary_chain_on_two_labels(self, tmp_path):
+        sim = tmp_path / "bin.csv"
+        assert run(["simulate", "--beta", "0.3,0.4", "--n", "200", "--out", sim]) == 0
+        rc = run(["bayes", "--data", sim, "--schema", tmp_path / "bin.schema",
+                  "--draws", "200", "--burn", "50", "--out", tmp_path / "ch"])
+        assert rc == 0
+        assert json.loads((tmp_path / "ch.json").read_text())["accept_rate"] is None
 
     def test_nonpositive_mh_step_is_input_error(self, sim_files, tmp_path, capsys):
         data_path, schema_path = sim_files

@@ -1,6 +1,9 @@
 """Tests for CSV parsing, schema-driven encoding and data simulation."""
 
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from discretefit.data import (
     schema_to_text,
 )
 
-from oracles import norm_cdf_float_oracle
+from oracles import encode_rowwise, norm_cdf_float_oracle
 
 SURVEY_CSV = (
     "opinion,age,income,party,used\n"
@@ -208,12 +211,42 @@ class TestBuildDataset:
         with pytest.raises(EncodingError, match=r"row 2.*'x'"):
             build_dataset(table, schema)
 
-    def test_idempotent_on_clean_data(self):
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
+    def test_nonfinite_number_names_row_and_column(self, cell):
+        table = parse_csv(f"y,x\nA,1\nB, {cell}\n")
+        schema = SchemaConfig(
+            response="y", labels=["A", "B"], covariates=[Covariate("x", "continuous")],
+        )
+        message = f"row 2, column 'x': non-finite value {cell!r}"
+        with pytest.raises(EncodingError, match=re.escape(message)):
+            build_dataset(table, schema)
+
+    @pytest.mark.parametrize("csv_text, message", [
+        ("y,x\nA,5\nB,-1\nA,abc\n", "row 2, column 'x': log transform of non-positive value -1.0"),
+        ("y,x\nA,5\nB,abc\nA,-1\n", "row 2, column 'x': cannot parse 'abc' as a number"),
+        ("y,x\nA,5\nB,0\nA,inf\n", "row 2, column 'x': log transform of non-positive value 0.0"),
+    ])
+    def test_first_faulty_row_wins_whatever_the_fault(self, csv_text, message):
+        schema = SchemaConfig(
+            response="y", labels=["A", "B"], covariates=[Covariate("x", "log")],
+        )
+        with pytest.raises(EncodingError, match=re.escape(message)):
+            build_dataset(parse_csv(csv_text), schema)
+
+    def test_unknown_label_beats_an_earlier_covariate_fault(self):
+        table = parse_csv("y,x\nA,abc\nC,1\n")
+        schema = SchemaConfig(
+            response="y", labels=["A", "B"], covariates=[Covariate("x", "continuous")],
+        )
+        with pytest.raises(EncodingError, match=re.escape("row 2: unknown response label 'C'")):
+            build_dataset(table, schema)
+
+    def test_idempotent_on_clean_data(self, tmp_path):
         # build, serialize, re-ingest with the identity schema: nothing changes
         rng = np.random.default_rng(5)
         spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=3, intercept=True)
         data = simulate_dataset(spec, [0.2, -0.4, 0.6], [0.8], 200, rng)
-        path = "/tmp/discretefit_idempotent.csv"
+        path = tmp_path / "idempotent.csv"
         dataset_to_csv(path, data)
         table = parse_csv(open(path, "rb").read())
         rebuilt, report = build_dataset(table, identity_schema(data))
@@ -226,6 +259,112 @@ class TestBuildDataset:
         table2 = parse_csv(open(path, "rb").read())
         rebuilt2, _ = build_dataset(table2, identity_schema(rebuilt))
         np.testing.assert_array_equal(rebuilt2.X, rebuilt.X)
+
+
+MESSY_SCHEMA = """
+response = opinion
+labels = oppose, medicinal, personal
+missing = don't know, refused
+covariate.age = log
+covariate.income = log
+covariate.household = continuous
+covariate.education = categorical:high school
+covariate.party = categorical:republican
+"""
+
+
+def _messy_rows(seed: int, n: int = 400) -> list[list[str]]:
+    """Survey rows with padded cells, quoted commas, missing tokens in the
+    response and in covariates, and a party level ('green') that occurs only
+    on rows dropped for a missing response."""
+    rng = np.random.default_rng(seed)
+
+    def pad(cell):
+        return str(rng.choice(["", " ", "  "])) + cell + str(rng.choice(["", " "]))
+
+    opinions = ["oppose", "medicinal", "personal", "don't know", "refused"]
+    education = ["high school", "some college, no degree", "bachelor's degree"]
+    rows = []
+    for _ in range(n):
+        opinion = str(rng.choice(opinions, p=[0.35, 0.3, 0.25, 0.06, 0.04]))
+        income = repr(float(np.round(np.exp(rng.normal(10.8, 0.7)), 2)))
+        if rng.random() < 0.05:
+            income = "refused"
+        party = str(rng.choice(["republican", "democrat", "independent"]))
+        if opinion in ("don't know", "refused") and rng.random() < 0.3:
+            party = "green"
+        rows.append([
+            pad(opinion), pad(str(rng.integers(18, 91))), pad(income),
+            pad(repr(float(rng.integers(1, 8)) / 2)), pad(str(rng.choice(education))),
+            pad(party), f'note "{rng.integers(100)}", refused',
+        ])
+    return rows
+
+
+def _table(rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["opinion", "age", "income", "household", "education", "party", "note"])
+    writer.writerows(rows)
+    return parse_csv(buffer.getvalue().encode("utf-8"))
+
+
+def _encode_both(table, schema):
+    """The encoder's result and the row-wise reference's, or both errors."""
+    try:
+        data, report = build_dataset(table, schema)
+    except (EncodingError, SchemaError) as exc:
+        with pytest.raises(ValueError) as ref:
+            encode_rowwise(table, schema)
+        return str(exc), str(ref.value)
+    X, y, names, counts = encode_rowwise(table, schema)
+    return (data, report), (X, y, names, counts)
+
+
+class TestRowwiseEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_messy_survey_matches_reference_exactly(self, seed):
+        table = _table(_messy_rows(seed))
+        (data, report), (X, y, names, counts) = _encode_both(
+            table, SchemaConfig.from_text(MESSY_SCHEMA)
+        )
+        assert data.X.dtype == X.dtype and data.y.dtype == y.dtype
+        assert np.array_equal(data.X, X)
+        assert np.array_equal(data.y, y)
+        assert data.column_names == names
+        assert (report.n_raw, report.n_dropped, report.n, report.warnings) == counts
+        # the table exercises dropping, a lost level and the quoted-comma level
+        assert report.n_dropped > 0
+        assert any("'green'" in w for w in report.warnings)
+        assert "education=some college, no degree" in names
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_injected_faults_give_the_reference_message(self, seed):
+        rng = np.random.default_rng([seed, 9])
+        rows = _messy_rows(seed, n=60)
+        kept = [i for i, row in enumerate(rows)
+                if not {cell.strip() for cell in row[:6]} & {"don't know", "refused"}]
+        faults = [(0, "maybe"), (1, "-3"), (1, "0"), (2, "abc"), (2, " nan "),
+                  (3, "inf"), (3, "1e400"), (3, "x"), (3, "")]
+        for k in rng.choice(len(faults), size=rng.integers(1, 4), replace=False):
+            column, cell = faults[k]
+            rows[rng.choice(kept)][column] = cell
+        got, want = _encode_both(_table(rows), SchemaConfig.from_text(MESSY_SCHEMA))
+        assert isinstance(got, str), "an injected fault went unreported"
+        assert got == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("covariate.nope = continuous", "column 'nope' not present in the data"),
+        ("covariate.party = categorical:purple",
+         "base level 'purple' of covariate 'party' does not occur in the data"),
+    ])
+    def test_schema_faults_give_the_reference_message(self, text, message):
+        party = "covariate.party = categorical:republican"
+        schema = SchemaConfig.from_text(MESSY_SCHEMA.replace(party, text))
+        rows = _messy_rows(0, n=60)
+        rows[5][0] = "maybe"
+        got, want = _encode_both(_table(rows), schema)
+        assert got == want == message
 
 
 class TestDataset:
