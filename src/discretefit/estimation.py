@@ -1,12 +1,14 @@
 """Maximum-likelihood fitting, standard errors and goodness-of-fit measures.
 
 The optimizer is a full Newton ascent on the (beta, delta) parametrization;
-each iterate's log-likelihood, gradient and Hessian come from one fused
-likelihood pass. When the negative Hessian is not positive definite a ridge
-is added and escalated by x10 until it factors; each proposed step is halved
-(up to 30 times) until the log-likelihood improves. A full step that loses
-no more than a few ulps of |loglik| is also accepted, since near the optimum
-its gain can be smaller than the rounding of the n-term sum. The accepted
+each iterate's log-likelihood, gradient and Hessian come from one likelihood
+pass: the line search scores a candidate with the pass's first stage and,
+once it accepts one, runs the derivative stage on that candidate's state.
+When the negative Hessian is not positive definite a ridge is added and
+escalated by x10 until it factors; each proposed step is halved (up to 30
+times) until the log-likelihood improves. A full step that loses no more
+than a few ulps of |loglik| is also accepted, since near the optimum its
+gain can be smaller than the rounding of the n-term sum. The accepted
 iterate sequence is therefore monotone up to that rounding, and the whole
 fit is deterministic.
 
@@ -111,6 +113,10 @@ def _ridged_direction(H: np.ndarray, grad: np.ndarray, opts: FitOptions) -> np.n
     return None
 
 
+def _column_name(data: Dataset, j: int) -> str:
+    return data.column_names[j] if j < len(data.column_names) else f"beta[{j}]"
+
+
 def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> None:
     counts = np.bincount(data.y, minlength=spec.J + 1)[1:spec.J + 1]
     for j, c in enumerate(counts, start=1):
@@ -122,16 +128,23 @@ def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> None:
         )
     if spec.intercept and not np.all(data.X[:, 0] == 1.0):
         raise EstimationError("spec declares an intercept but the first design column is not all ones")
+    nonzero = np.any(data.X != 0.0, axis=0)
+    if not np.all(nonzero):
+        raise EstimationError(
+            f"design column {_column_name(data, int(np.argmin(nonzero)))!r} is zero in every "
+            "observation; its coefficient cannot be estimated"
+        )
 
 
 def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
     theta = lk.initial_params(spec, data).flat
     k = spec.k
 
-    def evaluate(t):
-        return lk._evaluate(spec, ParamVector.from_flat(t, k), data, 2)
+    def loglik_pass(t):
+        return lk._loglik_pass(spec, ParamVector.from_flat(t, k), data)
 
-    ll, clamps, grad, H = evaluate(theta)
+    ll, clamps, state = loglik_pass(theta)
+    grad, H = lk._derivative_pass(spec, data, state, 2)
     history = [ll]
     iterations = 0
     converged = False
@@ -148,11 +161,13 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
         # less than the rounding of its n-term sum; accept it within a few
         # ulps so the gradient can still collapse to the tolerance
         slack = max(1e-12, _FULL_STEP_SLACK_ULPS * float(np.spacing(abs(ll))))
+        # candidates are scored by the first stage alone; the accepted one's
+        # state then yields the derivatives of the new iterate
         accepted = None
         alpha = 1.0
         for halving in range(opts.max_halvings + 1):
             cand = theta + alpha * direction
-            cand_ll, _ = lk._loglik_clamped(spec, ParamVector.from_flat(cand, k), data)
+            cand_ll, cand_clamps, state = loglik_pass(cand)
             acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - slack)
             if math.isfinite(cand_ll) and acceptable:
                 accepted = cand
@@ -164,15 +179,15 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
 
         theta = accepted
         iterations = it
-        ll, clamps, grad, H = evaluate(theta)
+        ll, clamps = cand_ll, cand_clamps
+        grad, H = lk._derivative_pass(spec, data, state, 2)
         history.append(ll)
         if opts.verbose:
             print(f"iter {it:3d}  loglik {ll:.8f}  |grad| {np.max(np.abs(grad)):.3e}")
 
         beta_max = float(np.max(np.abs(theta[:k])))
         if beta_max > 30.0:
-            worst = int(np.argmax(np.abs(theta[:k])))
-            name = data.column_names[worst] if worst < len(data.column_names) else f"beta[{worst}]"
+            name = _column_name(data, int(np.argmax(np.abs(theta[:k]))))
             raise SeparationError(
                 f"coefficient for {name!r} diverged past |30| while the log-likelihood is still "
                 "improving; the data appear to be perfectly separated"
@@ -205,10 +220,11 @@ def _report_space_vcov(spec: ModelSpec, params: ParamVector, H: np.ndarray) -> n
 def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> FitResult:
     """Fit a binary/ordinal model by Newton ascent on the log-likelihood.
 
-    Raises :class:`EstimationError` when a response category is absent or the
-    sample is smaller than the parameter count, and :class:`SeparationError`
-    when a coefficient diverges. Non-convergence is not an exception: the
-    result comes back with ``converged=False`` and diagnostics intact.
+    Raises :class:`EstimationError` when a response category is absent, a
+    design column is zero in every row or the sample is smaller than the
+    parameter count, and :class:`SeparationError` when a coefficient
+    diverges. Non-convergence is not an exception: the result comes back
+    with ``converged=False`` and diagnostics intact.
     """
     opts = opts or FitOptions()
     _validate_fit_inputs(spec, data)
@@ -284,7 +300,11 @@ def predict_prob(spec: ModelSpec, params: ParamVector, X_new: np.ndarray) -> np.
         raise ValueError(f"design has {X_new.shape[1]} columns, spec declares k = {spec.k}")
     gamma = params.cutpoints()
     xb = X_new @ params.beta
-    cdf_at_cuts = spec.link.cdf(gamma[None, :] - xb[:, None])
+    # F(-inf) = 0 and F(inf) = 1 exactly; only the interior cut-points need F
+    cdf_at_cuts = np.empty((xb.size, spec.J + 1))
+    cdf_at_cuts[:, 0] = 0.0
+    cdf_at_cuts[:, -1] = 1.0
+    cdf_at_cuts[:, 1:-1] = spec.link.cdf(gamma[None, 1:-1] - xb[:, None])
     return np.diff(cdf_at_cuts, axis=1)
 
 

@@ -15,9 +15,13 @@ computed. Cells whose log-probability falls below -745 (the smallest
 representable log) are clamped there and counted, so a line search can
 survive extreme parameter values instead of dying on -inf.
 
-The log-likelihood, gradient and Hessian come from one fused pass over the
-data, which computes the interval bounds, log-probabilities and pdf ratios
-once and derives each higher order from them.
+One likelihood pass runs in two stages. The first computes the interval
+bounds and log-probabilities and sums them into the log-likelihood; it
+returns them as a state. The derivative stage turns that state into the
+gradient and, if asked, the Hessian, computing the pdf ratios and curvature
+once for both. A line search scores its candidates with the first stage
+alone and runs the derivative stage only on the candidate it accepts, so no
+bound or log-probability is computed twice.
 """
 
 from __future__ import annotations
@@ -203,30 +207,34 @@ def _cut_weights(y: np.ndarray, J: int, upper: np.ndarray, lower: np.ndarray) ->
     """n x (J - 2) matrix holding ``upper`` in the column of gamma_y and
     ``lower`` in the column of gamma_{y-1}, wherever that cut-point is free."""
     W = np.zeros((y.size, J - 2))
-    upper_free = (y >= 2) & (y <= J - 1)  # gamma_y is a free cut-point
-    lower_free = y >= 3                   # gamma_{y-1} is a free cut-point
-    W[upper_free, y[upper_free] - 2] = upper[upper_free]
-    W[lower_free, y[lower_free] - 3] += lower[lower_free]
+    rows = np.flatnonzero((y >= 2) & (y <= J - 1))  # gamma_y is a free cut-point
+    W[rows, y[rows] - 2] = upper[rows]
+    rows = np.flatnonzero(y >= 3)                    # gamma_{y-1} is a free cut-point
+    W[rows, y[rows] - 3] += lower[rows]
     return W
 
 
-def _evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, order: int):
-    """One pass over the data: (loglik, clamp count, gradient, Hessian).
+def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
+    """First stage of a pass: (loglik, clamp count, state).
 
-    The bounds, log-probabilities, pdf ratios and curvature are computed
-    once and shared. ``order`` 0 returns only the log-likelihood and clamp
-    count, 1 adds the gradient and 2 the Hessian; what is not requested is
-    None. Derivatives are taken with respect to the interval bounds, mapped
-    through the (linear) bound Jacobian and then the exp-spacing chain rule;
-    the Hessian is symmetrized before returning.
+    ``state`` holds the parameters, the interval bounds and the clamped
+    log-probabilities, everything ``_derivative_pass`` needs.
     """
     _check_dimensions(spec, params, data)
     a, b = _bounds(params, data)
     logp, n_clamped = _interval_logprob(spec.link, a, b)
-    ll = float(np.sum(logp))
-    if order == 0:
-        return ll, n_clamped, None, None
+    return float(np.sum(logp)), n_clamped, (params, a, b, logp)
 
+
+def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
+    """Second stage of a pass: (gradient, Hessian or None) from the state of
+    ``_loglik_pass``; ``order`` 1 stops after the gradient.
+
+    Derivatives are taken with respect to the interval bounds, mapped
+    through the (linear) bound Jacobian and then the exp-spacing chain rule;
+    the Hessian is symmetrized before returning.
+    """
+    params, a, b, logp = state
     X, y, J = data.X, data.y, spec.J
     r_a, r_b = _pdf_ratios(spec, a, b, logp)
     A = _spacing_jacobian(params.delta)
@@ -235,7 +243,7 @@ def _evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, order: int):
     grad_delta = A.T @ grad_gamma
     grad = np.concatenate([X.T @ (r_a - r_b), grad_delta])
     if order == 1:
-        return ll, n_clamped, grad, None
+        return grad, None
 
     d2aa, d2bb, d2ab = _curvature_terms(spec, a, b, r_a, r_b)
     H = X.T @ (X * (d2aa + d2bb + 2.0 * d2ab)[:, None])
@@ -249,7 +257,21 @@ def _evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, order: int):
         H_dd = A.T @ H_gg @ A + np.diag(grad_delta)
         H_bd = H_bg @ A
         H = np.block([[H, H_bd], [H_bd.T, H_dd]])
-    return ll, n_clamped, grad, 0.5 * (H + H.T)
+    return grad, 0.5 * (H + H.T)
+
+
+def _evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, order: int):
+    """One pass over the data: (loglik, clamp count, gradient, Hessian).
+
+    Runs ``_loglik_pass`` and, for ``order`` 1 or 2, ``_derivative_pass`` on
+    its state. ``order`` 0 returns only the log-likelihood and clamp count,
+    1 adds the gradient and 2 the Hessian; what is not requested is None.
+    """
+    ll, n_clamped, state = _loglik_pass(spec, params, data)
+    if order == 0:
+        return ll, n_clamped, None, None
+    grad, H = _derivative_pass(spec, data, state, order)
+    return ll, n_clamped, grad, H
 
 
 def _loglik_clamped(spec: ModelSpec, params: ParamVector, data: Dataset) -> tuple[float, int]:

@@ -139,6 +139,26 @@ class TestFit:
         assert rc == 1
         assert "separated" in capsys.readouterr().err
 
+    def test_level_lost_to_dropped_rows_is_named_exit_1(self, tmp_path, capsys):
+        # every carrier of level c is dropped, so its indicator is all zeros
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(400)
+        party = rng.choice(["a", "b"], 400)
+        y = np.where(0.3 + x + rng.logistic(size=400) > 0.0, "yes", "no")
+        lines = ["y,x,party"] + [f"{r},{v:.6f},{p}" for r, v, p in zip(y, x, party)]
+        lines += ["refused,0.5,c", "refused,-0.2,c", "refused,1.1,c"]
+        data = tmp_path / "lost.csv"
+        data.write_text("\n".join(lines) + "\n")
+        schema = tmp_path / "lost.schema"
+        schema.write_text(
+            "response = y\nlabels = no, yes\nmissing = refused\n"
+            "covariate.x = continuous\ncovariate.party = categorical:a\n"
+        )
+        rc = run(["fit", "--data", data, "--schema", schema, "--link", "logit",
+                  "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert "'party=c' is zero in every observation" in capsys.readouterr().err
+
     def test_non_convergence_exits_2_report_written(self, sim_files, tmp_path):
         data_path, schema_path = sim_files
         out = tmp_path / "hard"

@@ -22,6 +22,7 @@ from discretefit import (
     simulate_dataset,
     summary_table,
 )
+from discretefit import likelihood as lk
 from discretefit.estimation import coefficient_rows, fit_report_dict
 
 from oracles import chi2_sf_oracle, norm_cdf_float_oracle
@@ -197,6 +198,16 @@ class TestOptimizerBehavior:
         with pytest.raises(EstimationError):
             fit_ml(spec, data)
 
+    def test_all_zero_column_named(self):
+        rng = np.random.default_rng(65)
+        x = rng.standard_normal(200)
+        X = np.column_stack([np.ones(200), x, np.zeros(200)])
+        y = 1 + (x + rng.standard_normal(200) > 0.0)
+        data = Dataset(y=y, X=X, column_names=["intercept", "x", "party=c"], J=2)
+        spec = ModelSpec("binary", Link.LOGIT, J=2, k=3, intercept=True)
+        with pytest.raises(EstimationError, match="'party=c' is zero in every observation"):
+            fit_ml(spec, data)
+
     def test_vcov_symmetric_psd(self):
         rng = np.random.default_rng(64)
         spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=3, intercept=True)
@@ -205,6 +216,60 @@ class TestOptimizerBehavior:
         np.testing.assert_allclose(fit.vcov, fit.vcov.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(fit.vcov)) >= -1e-10
         np.testing.assert_allclose(fit.se, np.sqrt(np.diag(fit.vcov)))
+
+
+class TestPassCounts:
+    """Each Newton iterate costs one likelihood pass: the line search scores
+    candidates with the first stage alone, and only the accepted candidate's
+    state goes on to the derivative stage."""
+
+    @staticmethod
+    def _record_stages(monkeypatch):
+        calls = {"first": [], "derivative": []}
+        first, derivative = lk._loglik_pass, lk._derivative_pass
+
+        def recorded_first(spec, params, data):
+            out = first(spec, params, data)
+            calls["first"].append(out)
+            return out
+
+        def recorded_derivative(spec, data, state, order):
+            calls["derivative"].append(state)
+            return derivative(spec, data, state, order)
+
+        monkeypatch.setattr(lk, "_loglik_pass", recorded_first)
+        monkeypatch.setattr(lk, "_derivative_pass", recorded_derivative)
+        return calls
+
+    @staticmethod
+    def _derivative_logliks(calls):
+        loglik_of = {id(state): ll for ll, _, state in calls["first"]}
+        return [loglik_of[id(state)] for state in calls["derivative"]]
+
+    def test_full_steps_cost_one_pass_per_iterate(self, monkeypatch):
+        calls = self._record_stages(monkeypatch)
+        spec = ModelSpec("ordinal", Link.LOGIT, J=4, k=3, intercept=True)
+        data = simulate_dataset(spec, [0.4, -0.9, 0.3], [0.8, 1.7], 800,
+                                np.random.default_rng(61))
+        fit = fit_ml(spec, data)
+        assert fit.converged
+        assert len(calls["first"]) == fit.iterations + 1
+        assert len(calls["derivative"]) == fit.iterations + 1
+        assert self._derivative_logliks(calls) == fit.history
+
+    def test_halved_candidates_get_no_derivatives(self, monkeypatch):
+        spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
+        data = simulate_dataset(spec, [0.3, 0.5], [], 400, np.random.default_rng(5))
+        start = lk.initial_params(spec, data)
+        # a slope far past the optimum makes the first Newton steps overshoot
+        monkeypatch.setattr(lk, "initial_params",
+                            lambda spec, data: ParamVector([start.beta[0], 10.0]))
+        calls = self._record_stages(monkeypatch)
+        fit = fit_ml(spec, data)
+        assert fit.converged
+        assert len(calls["derivative"]) == fit.iterations + 1
+        assert len(calls["first"]) > len(calls["derivative"])
+        assert self._derivative_logliks(calls) == fit.history
 
 
 class TestBinaryOrdinalEquivalence:

@@ -19,7 +19,8 @@ from discretefit import (
     loglik,
     simulate_dataset,
 )
-from discretefit.likelihood import _evaluate, _interval_logprob, score_matrix
+from discretefit import predict_prob
+from discretefit.likelihood import _cut_weights, _evaluate, _interval_logprob, score_matrix
 
 from oracles import finite_diff_grad, finite_diff_jac
 
@@ -270,6 +271,16 @@ def _two_tail_logprob(link, a, b):
         return np.where(use_left, left, right)
 
 
+def _mask_cut_weights(y, J, upper, lower):
+    """The boolean-mask scatter that built the cut-point weights before."""
+    W = np.zeros((y.size, J - 2))
+    upper_free = (y >= 2) & (y <= J - 1)
+    lower_free = y >= 3
+    W[upper_free, y[upper_free] - 2] = upper[upper_free]
+    W[lower_free, y[lower_free] - 3] += lower[lower_free]
+    return W
+
+
 class TestFusedKernel:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_one_tail_logprob_bit_identical_to_two_tail(self, link):
@@ -315,6 +326,37 @@ class TestFusedKernel:
         baseline = fit_intercept_only(spec, data)
         assert baseline.converged
         assert fit.loglik_0 == pytest.approx(baseline.loglik_fit, rel=1e-10)
+
+
+    @pytest.mark.parametrize("J", [3, 4, 5])
+    @pytest.mark.parametrize("absent", ["none", "first", "last", "both"])
+    def test_cut_weights_bit_identical_to_mask_scatter(self, J, absent):
+        # rows of categories 1 and J take no weight at gamma_y
+        rng = np.random.default_rng(J)
+        y = rng.integers(1, J + 1, 500)
+        if absent in ("first", "both"):
+            y[y == 1] = 2
+        if absent in ("last", "both"):
+            y[y == J] = J - 1
+        upper, lower = rng.standard_normal((2, y.size))
+        got = _cut_weights(y, J, upper, lower)
+        want = _mask_cut_weights(y, J, upper, lower)
+        np.testing.assert_array_equal(got, want)
+        X = rng.standard_normal((y.size, 4))
+        np.testing.assert_array_equal(X.T @ got, X.T @ want)
+
+    @pytest.mark.parametrize("J", [2, 3, 4, 5])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_predict_prob_bit_identical_to_all_columns_form(self, J, link):
+        rng = np.random.default_rng(50 + J)
+        spec = ModelSpec("binary" if J == 2 else "ordinal", link, J=J, k=2, intercept=True)
+        params = ParamVector([0.3, 1.0], rng.normal(scale=0.5, size=J - 2))
+        x = np.concatenate([np.linspace(-40.0, 40.0, 161), rng.uniform(-40.0, 40.0, 300)])
+        X = np.column_stack([np.ones(x.size), x])
+        xb = X @ params.beta
+        # the cdf at every cut-point, -inf and +inf included
+        want = np.diff(link.cdf(params.cutpoints()[None, :] - xb[:, None]), axis=1)
+        np.testing.assert_array_equal(predict_prob(spec, params, X), want)
 
 
 class TestModelSpecValidation:
