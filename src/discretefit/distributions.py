@@ -4,8 +4,9 @@ Provides the standard-normal and logistic cdf/pdf/quantile plus unit-variance
 truncated-normal sampling. Everything else in the package is built on these.
 
 The normal kernels delegate to scipy.special (ndtr/ndtri/log_ndtr), which are
-accurate to well below 1e-14 absolute error. The logistic kernels use the
-sign-split form so they never overflow for |w| up to ~745. Truncated-normal
+accurate to well below 1e-14 absolute error. The logistic kernels exponentiate
+only -|w|, so they never overflow, and pick the sign-split formula per element
+arithmetically instead of through masked gathers and scatters. Truncated-normal
 draws use inverse-cdf sampling, switching to a log-domain formulation once
 the truncation interval sits beyond |6| standard deviations, where the naive
 inverse cdf loses all precision.
@@ -61,7 +62,7 @@ class Link(str, enum.Enum):
         if self is Link.PROBIT:
             with np.errstate(over="ignore"):
                 return _INV_SQRT_2PI * np.exp(-0.5 * w * w)
-        return _logistic_cdf_raw(w) * _logistic_cdf_raw(-w)
+        return _logistic_pdf_raw(w)
 
     def log_cdf(self, w):
         w = np.asarray(w, dtype=float)
@@ -85,16 +86,38 @@ class Link(str, enum.Enum):
         return np.log(p) - np.log1p(-p)
 
 
+def _exp_neg_abs(w: np.ndarray) -> np.ndarray:
+    """exp(-|w|) in one new array; it never overflows and lies in [0, 1]."""
+    e = np.abs(w, out=np.empty_like(w))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
 def _logistic_cdf_raw(w: np.ndarray) -> np.ndarray:
-    """Sign-split logistic cdf, safe for the whole double range."""
+    """Logistic cdf, safe for the whole double range.
+
+    With e = exp(-|w|) this is where(w >= 0, 1, e) / (1 + e): per element
+    the sign-split formula 1/(1 + exp(-w)) or exp(w)/(1 + exp(w)), so the
+    same bits as evaluating each sign under a mask, ±0, ±inf and nan
+    included, without the gathers and scatters.
+    """
     w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    pos = w >= 0
-    with np.errstate(over="ignore"):
-        out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
-        ew = np.exp(w[~pos])
-    out[~pos] = ew / (1.0 + ew)
+    e = _exp_neg_abs(w)
+    out = np.maximum(e, w >= 0)  # the where() above: e <= 1, and nan stays nan
+    e += 1.0
+    out /= e
     return out
+
+
+def _logistic_pdf_raw(w: np.ndarray) -> np.ndarray:
+    """Logistic density cdf(w) * cdf(-w), as (1/d) * (e/d) with d = 1 + e.
+
+    For either sign of w the two factors are exactly the two sign-split cdf
+    values, so the product has their bits and no cancellation.
+    """
+    e = _exp_neg_abs(w)
+    d = 1.0 + e
+    return (1.0 / d) * (e / d)
 
 
 def norm_cdf(w):
@@ -116,9 +139,9 @@ def logistic_cdf(w):
 
 
 def logistic_pdf(w):
-    """Logistic density, evaluated as cdf(w)*cdf(-w) to avoid cancellation."""
+    """Logistic density cdf(w)*cdf(-w), free of cancellation."""
     arr = _as_validated_array(w)
-    return _scalar_like(_logistic_cdf_raw(arr) * _logistic_cdf_raw(-arr), w)
+    return _scalar_like(_logistic_pdf_raw(arr), w)
 
 
 def norm_inv_cdf(p):

@@ -6,6 +6,17 @@ difference of the full probability vectors with the column forced to 1 versus
 0. Reported effects are averages over the sample (not effects at the mean).
 Within every observation the effects across categories sum to zero because
 the probabilities sum to one before and after the perturbation.
+
+A table does the work that its columns share once: the density differences
+f(gamma_j - x'b) - f(gamma_{j-1} - x'b) that every continuous effect scales,
+and the base probabilities P(x) at the observed design. An indicator then
+costs one more ``predict_prob`` pass, on a single working copy of X with its
+column flipped to 1 - x_m and restored afterwards. Each row of that copy is
+the observed row with x_m switched to the value it does not hold, so the
+effect is P(x) - P(flipped) where x_m = 1 and P(flipped) - P(x) where
+x_m = 0: bit for bit the two-copy P(X with x_m = 1) - P(X with x_m = 0),
+because the matrix product computes every row on its own. Shifting x'b by
++-b_m instead would save the products but move the last bits.
 """
 
 from __future__ import annotations
@@ -61,52 +72,64 @@ def _intercept_index(spec: ModelSpec) -> int | None:
     return 0 if spec.intercept else None
 
 
+def _column_kind(spec: ModelSpec, data: Dataset, idx: int) -> str:
+    """Kind of design column ``idx``, after checking that it has an effect."""
+    if idx == _intercept_index(spec):
+        raise ColumnKindError("the intercept has no covariate effect")
+    if not 0 <= idx < spec.k:
+        raise ValueError(f"column index {idx} out of range")
+    return KIND_INDICATOR if _is_indicator(data.X[:, idx]) else KIND_CONTINUOUS
+
+
+def _effects(spec: ModelSpec, params: ParamVector, data: Dataset,
+             columns: list[int], kinds: list[str]) -> list[CovariateEffect]:
+    """Effects of checked ``columns`` of the given ``kinds``, from one base pass."""
+    X, beta = data.X, params.beta
+    if KIND_CONTINUOUS in kinds:
+        xb = X @ beta
+        dens = spec.link.pdf(params.cutpoints()[None, :] - xb[:, None])  # pdf 0 at the infinite ends
+        dens_diff = np.diff(dens, axis=1)
+    if KIND_INDICATOR in kinds:
+        work = X.copy()
+        base = predict_prob(spec, params, work)
+    rows = []
+    for idx, kind in zip(columns, kinds):
+        if kind == KIND_CONTINUOUS:
+            per_obs = -beta[idx] * dens_diff
+        else:
+            column = X[:, idx]
+            work[:, idx] = 1.0 - column
+            other = predict_prob(spec, params, work)
+            work[:, idx] = column
+            per_obs = np.where((column == 1.0)[:, None], base - other, other - base)
+        rows.append(CovariateEffect(
+            name=data.column_names[idx], kind=kind,
+            per_obs=per_obs, average=per_obs.mean(axis=0),
+        ))
+    return rows
+
+
 def ce_continuous(spec: ModelSpec, params: ParamVector, data: Dataset, l: int) -> CovariateEffect:
     """Marginal effect of continuous column ``l`` on every category probability."""
-    if l == _intercept_index(spec):
-        raise ColumnKindError("the intercept has no covariate effect")
-    if not 0 <= l < spec.k:
-        raise ValueError(f"column index {l} out of range")
-    if _is_indicator(data.X[:, l]):
+    if _column_kind(spec, data, l) != KIND_CONTINUOUS:
         raise ColumnKindError(
             f"column {data.column_names[l]!r} is a 0/1 indicator; use ce_indicator"
         )
-    gamma = params.cutpoints()
-    xb = data.X @ params.beta
-    dens = spec.link.pdf(gamma[None, :] - xb[:, None])  # pdf 0 at the infinite ends
-    per_obs = -params.beta[l] * np.diff(dens, axis=1)
-    return CovariateEffect(
-        name=data.column_names[l], kind=KIND_CONTINUOUS,
-        per_obs=per_obs, average=per_obs.mean(axis=0),
-    )
+    return _effects(spec, params, data, [l], [KIND_CONTINUOUS])[0]
 
 
 def ce_indicator(spec: ModelSpec, params: ParamVector, data: Dataset, m: int) -> CovariateEffect:
     """Effect of switching indicator column ``m`` from 0 to 1, everything else fixed."""
-    if m == _intercept_index(spec):
-        raise ColumnKindError("the intercept has no covariate effect")
-    if not 0 <= m < spec.k:
-        raise ValueError(f"column index {m} out of range")
-    if not _is_indicator(data.X[:, m]):
+    if _column_kind(spec, data, m) != KIND_INDICATOR:
         raise ColumnKindError(
             f"column {data.column_names[m]!r} takes values outside {{0, 1}}"
         )
-    X_on = data.X.copy()
-    X_on[:, m] = 1.0
-    X_off = data.X.copy()
-    X_off[:, m] = 0.0
-    per_obs = predict_prob(spec, params, X_on) - predict_prob(spec, params, X_off)
-    return CovariateEffect(
-        name=data.column_names[m], kind=KIND_INDICATOR,
-        per_obs=per_obs, average=per_obs.mean(axis=0),
-    )
+    return _effects(spec, params, data, [m], [KIND_INDICATOR])[0]
 
 
 def covariate_effect(spec: ModelSpec, params: ParamVector, data: Dataset, idx: int) -> CovariateEffect:
     """Dispatch on the column's observed kind (0/1 values -> indicator)."""
-    if _is_indicator(data.X[:, idx]) and idx != _intercept_index(spec):
-        return ce_indicator(spec, params, data, idx)
-    return ce_continuous(spec, params, data, idx)
+    return _effects(spec, params, data, [idx], [_column_kind(spec, data, idx)])[0]
 
 
 def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
@@ -116,16 +139,18 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
     scales = scales or {}
     if columns is None:
         columns = [i for i in range(spec.k) if i != _intercept_index(spec)]
-    rows = []
+    kinds = []
     for idx in columns:
-        eff = covariate_effect(spec, params, data, idx)
-        scale = float(scales.get(eff.name, 1.0))
-        if scale != 1.0 and eff.kind != KIND_CONTINUOUS:
+        kind = _column_kind(spec, data, idx)
+        if float(scales.get(data.column_names[idx], 1.0)) != 1.0 and kind != KIND_CONTINUOUS:
             raise ColumnKindError(
-                f"scale multipliers apply to continuous covariates only, not {eff.name!r}"
+                "scale multipliers apply to continuous covariates only, "
+                f"not {data.column_names[idx]!r}"
             )
-        eff.scale = scale
-        rows.append(eff)
+        kinds.append(kind)
+    rows = _effects(spec, params, data, columns, kinds)
+    for eff in rows:
+        eff.scale = float(scales.get(eff.name, 1.0))
     return EffectsTable(rows=rows, J=spec.J)
 
 

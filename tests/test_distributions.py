@@ -1,6 +1,7 @@
 """Tests for the probability kernels and the truncated-normal sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from discretefit import (
     trunc_norm_draws,
     trunc_norm_sample,
 )
+from discretefit.distributions import _logistic_cdf_raw
 
 from oracles import (
     ks_statistic,
@@ -112,6 +114,74 @@ class TestLogisticKernels:
             logistic_cdf(np.inf)
         with pytest.raises(ValueError):
             logistic_pdf(np.nan)
+
+
+def _sign_split_cdf(w):
+    """The masked two-branch logistic cdf: 1/(1 + exp(-w)) where w >= 0,
+    exp(w)/(1 + exp(w)) elsewhere (nan included)."""
+    w = np.asarray(w, dtype=float)
+    out = np.empty_like(w)
+    pos = w >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
+    ew = np.exp(w[~pos])
+    out[~pos] = ew / (1.0 + ew)
+    return out
+
+
+def _sign_split_pdf(w):
+    return _sign_split_cdf(w) * _sign_split_cdf(-np.asarray(w, dtype=float))
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values and shapes; nan where nan, and the sign of every zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    keep = ~np.isnan(want)
+    return (got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[keep]), np.signbit(want[keep])))
+
+
+class TestLogisticKernelBits:
+    """The branch-free logistic kernels keep the bits of the sign-split forms."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+             1e-310, -1e-310, 745.0, -745.0, 800.0, -800.0]
+
+    def _inputs(self):
+        draws = np.random.default_rng(11).normal(0.0, 5.0, 1200)
+        return np.concatenate([self.EDGES, draws])
+
+    @pytest.fixture(autouse=True)
+    def _no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("shape", [(-1,), (5, -1), (-1, 1)])
+    def test_arrays(self, shape):
+        w = self._inputs()[: 5 * 241].reshape(shape)
+        assert _same_bits(_logistic_cdf_raw(w), _sign_split_cdf(w))
+        assert _same_bits(Link.LOGIT.cdf(w), _sign_split_cdf(w))
+        assert _same_bits(Link.LOGIT.pdf(w), _sign_split_pdf(w))
+        finite = np.where(np.isfinite(w), w, 0.0)
+        assert _same_bits(logistic_cdf(finite), _sign_split_cdf(finite))
+        assert _same_bits(logistic_pdf(finite), _sign_split_pdf(finite))
+
+    def test_zero_dimensional(self):
+        for v in self._inputs()[:60]:
+            for w in (v, np.float64(v), np.array(v)):
+                assert _same_bits(_logistic_cdf_raw(w), _sign_split_cdf(w))
+                assert _same_bits(Link.LOGIT.pdf(w), _sign_split_pdf(w))
+                if math.isfinite(v):
+                    for fn, ref in ((logistic_cdf, _sign_split_cdf), (logistic_pdf, _sign_split_pdf)):
+                        value = fn(w)
+                        assert isinstance(value, float)
+                        assert _same_bits(value, ref(w))
+
+    def test_empty(self):
+        for w in (np.zeros(0), np.zeros((0, 3))):
+            assert _logistic_cdf_raw(w).shape == w.shape
+            assert Link.LOGIT.pdf(w).shape == w.shape
 
 
 class TestNormInvCdf:

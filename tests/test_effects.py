@@ -1,9 +1,15 @@
 """Tests for covariate effects and odds interpretation helpers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import discretefit.effects as effects_module
 
 from discretefit import (
     ColumnKindError,
@@ -20,7 +26,7 @@ from discretefit import (
     predict_prob,
     simulate_dataset,
 )
-from discretefit.effects import effects_report_dict, effects_text
+from discretefit.effects import covariate_effect, effects_report_dict, effects_text
 
 PHI_0_DENSITY = 0.3989422804014327
 DELTA_PHI_0_1 = 0.3413447460685429  # Phi(1) - Phi(0), from the series oracle
@@ -218,3 +224,119 @@ class TestEffectsTable:
                        column_names=["intercept", "d"], J=2)
         with pytest.raises(ColumnKindError):
             effects_table(spec, ParamVector([0.0, 0.4]), data, scales={"d": 10.0})
+
+
+def _mixed_instance(n, J, link, intercept, seed):
+    """Continuous columns at offsets 0 and 2, indicators at 1 and 3, after an
+    optional intercept; draws and parameters from ``seed``."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.normal(size=n), rng.integers(0, 2, n), rng.normal(2.0, 3.0, n),
+            rng.integers(0, 2, n)]
+    names = ["x", "d", "z", "e"]
+    if intercept:
+        cols, names = [np.ones(n)] + cols, ["intercept"] + names
+    X = np.column_stack(cols).astype(float)
+    spec = ModelSpec("ordinal" if J > 2 else "binary", link, J=J, k=X.shape[1],
+                     intercept=intercept)
+    data = Dataset(y=rng.integers(1, J + 1, n), X=X, column_names=names, J=J)
+    params = ParamVector(rng.normal(0.0, 0.8, X.shape[1]), rng.normal(0.0, 0.3, J - 2))
+    return spec, data, params, int(intercept)
+
+
+def _two_copy_effect(spec, params, X, m):
+    X1, X0 = X.copy(), X.copy()
+    X1[:, m], X0[:, m] = 1.0, 0.0
+    return predict_prob(spec, params, X1) - predict_prob(spec, params, X0)
+
+
+class TestTableBitIdentity:
+    """``effects_table`` shares one base pass and one flipped working copy of X
+    among its columns; every row must keep the bits of the per-column forms."""
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    @pytest.mark.parametrize("J", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 1001])
+    def test_rows_equal_per_column_and_two_copy_forms(self, n, J, link, intercept):
+        spec, data, params, o = _mixed_instance(n, J, link, intercept, seed=1000 * n + 10 * J)
+        X_before = data.X.copy()
+        # out of order and repeated: indicators o+3, o+1, o+3; continuous o+2, o, o+2
+        columns = [o + 3, o + 2, o + 1, o, o + 3, o + 2]
+        table = effects_table(spec, params, data, columns=columns)
+        assert [r.name for r in table.rows] == [data.column_names[c] for c in columns]
+        for idx, row in zip(columns, table.rows):
+            if row.kind == "indicator":
+                single = ce_indicator(spec, params, data, idx)
+                two_copy = _two_copy_effect(spec, params, data.X, idx)
+                assert np.array_equal(row.per_obs, two_copy)
+                assert np.array_equal(row.average, two_copy.mean(axis=0))
+            else:
+                single = ce_continuous(spec, params, data, idx)
+            assert np.array_equal(row.per_obs, single.per_obs)
+            assert np.array_equal(row.average, single.average)
+        assert [r.kind for r in table.rows] == ["indicator", "continuous"] * 3
+        assert np.array_equal(data.X, X_before)
+
+    def test_default_columns_skip_the_intercept(self):
+        spec, data, params, _ = _mixed_instance(50, 3, Link.LOGIT, True, seed=5)
+        table = effects_table(spec, params, data)
+        assert [r.name for r in table.rows] == ["x", "d", "z", "e"]
+        for m in (2, 4):
+            assert np.array_equal(table.rows[m - 1].per_obs,
+                                  _two_copy_effect(spec, params, data.X, m))
+
+
+def test_bit_identity_holds_with_one_blas_thread():
+    """The bit-identity rests on the matrix product computing each row the
+    same way whatever the other rows hold; rerun it in a fresh interpreter
+    with a single BLAS thread, as the benchmark uses."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::TestTableBitIdentity"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert " passed" in done.stdout
+
+
+class TestPredictProbCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        original = effects_module.predict_prob
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(effects_module, "predict_prob", counting)
+        return count
+
+    def test_one_base_pass_plus_one_per_indicator(self, calls):
+        spec, data, params, _ = _mixed_instance(200, 4, Link.LOGIT, True, seed=6)
+        effects_table(spec, params, data)
+        assert calls[0] == 1 + 2
+
+    def test_continuous_columns_only_need_no_probabilities(self, calls):
+        spec, data, params, _ = _mixed_instance(200, 4, Link.PROBIT, True, seed=7)
+        effects_table(spec, params, data, columns=[3, 1])
+        assert calls[0] == 0
+
+
+class TestColumnIndexChecks:
+    @pytest.mark.parametrize("idx", [5, 6, 50, -1])
+    def test_out_of_range_index_named(self, idx):
+        spec, data, params, _ = _mixed_instance(20, 3, Link.LOGIT, True, seed=8)
+        with pytest.raises(ValueError, match=f"column index {idx} out of range"):
+            covariate_effect(spec, params, data, idx)
+        with pytest.raises(ValueError, match=f"column index {idx} out of range"):
+            effects_table(spec, params, data, columns=[1, idx])
+
+    def test_intercept_refused_before_its_column_is_read(self):
+        spec, data, params, _ = _mixed_instance(20, 3, Link.LOGIT, True, seed=9)
+        for call in (lambda: covariate_effect(spec, params, data, 0),
+                     lambda: effects_table(spec, params, data, columns=[0])):
+            with pytest.raises(ColumnKindError, match="the intercept has no covariate effect"):
+                call()
