@@ -1,7 +1,13 @@
 """Survey-style data ingestion and synthetic data generation.
 
 CSV input is parsed RFC-4180 style (header row required, quoted fields may
-contain commas and newlines). A schema config then drives the encoding:
+contain commas and newlines, blank lines are skipped). Bytes are decoded as
+UTF-8; a leading byte-order mark is dropped. The table is held column by
+column: each column is one integer code per row plus its distinct cells in
+first-seen order, packed into one string, so a survey of a few answers per
+question costs a few bytes per cell. A schema config then drives the
+encoding, which works once per distinct cell and gathers the results by
+code:
 
 * rows carrying a missing-value token in the response or any used covariate
   are dropped (listwise deletion; the count is reported),
@@ -10,10 +16,11 @@ contain commas and newlines). A schema config then drives the encoding:
   columns named ``<col>=<level>``,
 * response labels map to 1..J in the order the schema lists them; category
   order is semantic and never inferred from the data,
-* the first fault is reported: an unknown column, then a missing base level,
-  then an unknown response label, then the covariates in declaration order;
-  within a column, the first kept row whose cell is unparseable, non-finite
-  or, for ``log``, not positive.
+* the first fault is reported: a used column that is absent from the header
+  or named more than once in it, then a missing base level, then an unknown
+  response label, then the covariates in declaration order; within a
+  column, the first kept row whose cell is unparseable, non-finite or, for
+  ``log``, not positive.
 
 Schema files are flat ``key = value`` text with ``#`` comments::
 
@@ -33,9 +40,11 @@ order, after the intercept column when one is requested.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -58,22 +67,63 @@ KIND_LOG = "log"
 KIND_CATEGORICAL = "categorical"
 
 
-@dataclass
+class Cells(Sequence):
+    """Text cells packed into one string plus end offsets.
+
+    A column of distinct ids or amounts costs its characters and 8 bytes per
+    cell, not one Python string (about 55 bytes) per cell. Those strings
+    would also be scattered among short-lived objects, so small objects that
+    outlive the table would keep their memory blocks from being released.
+    """
+
+    def __init__(self, cells: list[str]):
+        self.text = "".join(cells)
+        self.ends = np.cumsum([len(cell) for cell in cells], dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.ends.size
+
+    def __getitem__(self, k: int) -> str:
+        k = range(len(self))[k]  # a negative k counts from the end
+        start = self.ends[k - 1] if k else 0
+        return self.text[start:self.ends[k]]
+
+    def tolist(self) -> list[str]:
+        text, ends = self.text, self.ends.tolist()
+        return [text[start:end] for start, end in zip([0] + ends, ends)]
+
+
+@dataclass(eq=False)
 class RawTable:
-    """Rectangular grid of text cells with a header."""
+    """Rectangular grid of text cells with a header, held column by column.
+
+    Column ``j`` is ``codes[j]``, one integer per row, indexing the column's
+    distinct cells ``cells[j]`` (first-seen order): row ``i`` holds
+    ``cells[j][codes[j][i]]``.
+    """
 
     columns: list[str]
-    rows: list[list[str]]
+    codes: list[np.ndarray]
+    cells: list[Cells]
 
     @property
     def n_raw(self) -> int:
-        return len(self.rows)
+        return self.codes[0].size if self.codes else 0
+
+    @cached_property
+    def rows(self) -> list[list[str]]:
+        """The table as one list of cells per row, built on first use."""
+        columns = [list(map(cells.tolist().__getitem__, codes.tolist()))
+                   for codes, cells in zip(self.codes, self.cells)]
+        return [list(row) for row in zip(*columns)]
 
     def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise SchemaError(f"column {name!r} not present in the data") from None
+        count = self.columns.count(name)
+        if count == 0:
+            raise SchemaError(f"column {name!r} not present in the data")
+        if count > 1:
+            raise SchemaError(f"column {name!r} is named {count} times in the header")
+        return self.columns.index(name)
 
 
 @dataclass
@@ -176,7 +226,15 @@ class Dataset:
     J: int
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=int)
+        if not float(self.J).is_integer():
+            raise ValueError(f"J must be an integer, got {self.J!r}")
+        self.J = int(self.J)
+        codes = np.asarray(self.y)
+        if codes.dtype.kind not in "biu":
+            values = codes.astype(float)
+            if not np.all(np.isfinite(values) & (values == np.floor(values))):
+                raise ValueError("response codes must be integers")
+        self.y = codes.astype(int, copy=False)
         self.X = np.asarray(self.X, dtype=float)
         if self.X.ndim != 2:
             raise ValueError("X must be two-dimensional")
@@ -202,25 +260,78 @@ class EncodingReport:
     warnings: list[str] = field(default_factory=list)
 
 
+# Records read and encoded per step of parse_csv; a chunk's rows are the
+# only per-row Python lists alive at a time.
+_CHUNK_ROWS = 1024
+# Characters split into lines per step of _lines.
+_LINE_BLOCK = 1 << 16
+
+
+def _lines(text: str):
+    """The ``\\n``-terminated lines of ``text`` (the last may lack one), as
+    iterating ``io.StringIO(text)`` yields them, without its 4-byte-per-
+    character copy of the whole text."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
+        *lines, tail = text[start:stop].split("\n")
+        yield from [line + "\n" for line in lines]
+        if tail:
+            yield tail
+        start = stop
+
+
+def _checked_rows(records, width: int):
+    """Data records of the header's width; a fault names its 1-based row."""
+    i = 0
+    try:
+        for i, row in enumerate(records, start=1):
+            if len(row) != width:
+                raise ParseError(f"row {i}: expected {width} fields, got {len(row)}")
+            yield row
+    except csv.Error as exc:
+        raise ParseError(f"row {i + 1}: {exc}") from None
+
+
+class _Factor(dict):
+    """Cell -> code; an unseen cell gets the next code."""
+
+    def __missing__(self, cell: str) -> int:
+        code = self[cell] = len(self)
+        return code
+
+
 def parse_csv(data) -> RawTable:
     """Parse CSV bytes/text into a RawTable. First record is the header."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     else:
         text = str(data)
-    reader = csv.reader(io.StringIO(text))
-    records = [row for row in reader if row]
-    if not records:
+    records = filter(None, csv.reader(_lines(text)))  # blank lines read as []
+    try:
+        header = next(records, None)
+    except csv.Error as exc:
+        raise ParseError(f"header row: {exc}") from None
+    if header is None:
         raise ParseError("empty input: no header row")
-    header, rows = records[0], records[1:]
     width = len(header)
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ParseError(f"row {i}: expected {width} fields, got {len(row)}")
-    return RawTable(columns=header, rows=rows)
+    factors = [_Factor() for _ in header]
+    # a record takes at least one line and a comma per field after the first
+    capacity = min(text.count("\n"), len(text) // max(width - 1, 1)) + 1
+    codes = np.empty((width, capacity), dtype=np.int32)
+    n = 0
+    rows = _checked_rows(records, width)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        flat = list(chain.from_iterable(chunk))
+        for j, factor in enumerate(factors):
+            column = map(factor.__getitem__, flat[j::width])
+            codes[j, n:n + len(chunk)] = np.fromiter(column, dtype=np.int32, count=len(chunk))
+        n += len(chunk)
+    return RawTable(columns=header, codes=list(codes[:, :n]),
+                    cells=[Cells(list(factor)) for factor in factors])
 
 
 def read_csv(path) -> RawTable:
@@ -235,75 +346,109 @@ def _number(cell: str) -> float | None:
         return None
 
 
+def _stripped_column(raw: RawTable, index: int) -> tuple[np.ndarray, list[str]]:
+    """Column ``index`` as codes into its distinct whitespace-stripped cells.
+
+    Cells that differ only in padding share one code.
+    """
+    codes = raw.codes[index]
+    cells = [cell.strip() for cell in raw.cells[index].tolist()]
+    distinct = list(dict.fromkeys(cells))
+    if len(distinct) < len(cells):
+        position = {cell: k for k, cell in enumerate(distinct)}
+        codes = np.array([position[cell] for cell in cells], dtype=np.int32)[codes]
+        cells = distinct
+    return codes, cells
+
+
 def build_dataset(raw: RawTable, schema: SchemaConfig) -> tuple[Dataset, EncodingReport]:
     """Encode a RawTable under a schema; rows with missing tokens are dropped.
 
-    Each used column is read once. Categorical levels are taken from the raw
-    column before any rows are dropped; a level whose every carrier row gets
-    dropped still produces its (all-zero) indicator column, with a warning in
-    the report.
+    Each step (stripping, the missing-token test, label lookup, number
+    parsing and checks, the log) runs once per distinct cell of a used
+    column, and its result is gathered to the rows by code. Categorical
+    levels are taken from the raw column before any rows are dropped; a
+    level whose every carrier row gets dropped still produces its
+    (all-zero) indicator column, with a warning in the report.
     """
     missing = {tok.strip() for tok in schema.missing}
     used = [schema.response] + [cov.name for cov in schema.covariates]
     indices = [raw.column_index(name) for name in used]
-    label_code = {label: j for j, label in enumerate(schema.labels, start=1)}
-    cells = [np.array([row[i].strip() for row in raw.rows], dtype=object) for i in indices]
-    keep = ~np.logical_or.reduce([np.isin(col, list(missing)) for col in cells])
+    columns = [_stripped_column(raw, i) for i in indices]
 
-    for cov, col in zip(schema.covariates, cells[1:]):
-        if cov.kind == KIND_CATEGORICAL and (cov.base in missing or cov.base not in col):
+    for cov, (_, cells) in zip(schema.covariates, columns[1:]):
+        if cov.kind == KIND_CATEGORICAL and (cov.base in missing or cov.base not in cells):
             raise SchemaError(
                 f"base level {cov.base!r} of covariate {cov.name!r} does not occur in the data"
             )
 
-    rows = np.flatnonzero(keep) + 1  # 1-based numbers of the kept rows
-    labels = cells[0][keep]
-    y = np.array([label_code.get(label, 0) for label in labels.tolist()], dtype=int)
+    dropped = np.zeros(raw.n_raw, dtype=bool)
+    for codes, cells in columns:
+        dropped |= np.array([cell in missing for cell in cells], dtype=bool)[codes]
+    keep = np.flatnonzero(~dropped)  # row keep[i] + 1 of the table is observation i
+
+    label_code = {label: j for j, label in enumerate(schema.labels, start=1)}
+    codes, cells = columns[0]
+    codes = codes[keep]
+    y = np.array([label_code.get(cell, 0) for cell in cells], dtype=int)[codes]
     if not y.all():
         i = (y == 0).argmax()
-        raise EncodingError(f"row {rows[i]}: unknown response label {labels[i]!r}")
+        raise EncodingError(f"row {keep[i] + 1}: unknown response label {cells[codes[i]]!r}")
 
+    levels = {
+        cov.name: sorted(set(cells) - missing - {cov.base})
+        for cov, (_, cells) in zip(schema.covariates, columns[1:])
+        if cov.kind == KIND_CATEGORICAL
+    }
+    width = sum(len(levels[cov.name]) if cov.name in levels else 1 for cov in schema.covariates)
+    X = np.empty((keep.size, int(schema.intercept) + width))
     names: list[str] = ["intercept"] if schema.intercept else []
-    columns: list[np.ndarray] = [np.ones(rows.size)] if schema.intercept else []
+    if schema.intercept:
+        X[:, 0] = 1.0
     warnings: list[str] = []
-    for cov, all_cells in zip(schema.covariates, cells[1:]):
-        col = all_cells[keep]
+    for cov, (codes, cells) in zip(schema.covariates, columns[1:]):
+        codes = codes[keep]
+        at = len(names)
         if cov.kind == KIND_CATEGORICAL:
-            levels = sorted(set(all_cells.tolist()) - missing - {cov.base})
-            block = (col[:, None] == np.array(levels, dtype=object)).astype(float)
-            names += [f"{cov.name}={level}" for level in levels]
+            cov_levels = levels[cov.name]
+            position = {level: k for k, level in enumerate(cov_levels)}
+            # each row's level position; -1 for the base level
+            slot = np.array([position.get(cell, -1) for cell in cells], dtype=int)[codes]
+            X[:, at:at + len(cov_levels)] = slot[:, None] == np.arange(len(cov_levels))
+            seen = np.bincount(slot + 1, minlength=len(cov_levels) + 1)[1:] > 0
+            names += [f"{cov.name}={name}" for name in cov_levels]
             warnings += [
-                f"level {level!r} of {cov.name!r} has no remaining observations; "
+                f"level {name!r} of {cov.name!r} has no remaining observations; "
                 "indicator column is all zeros"
-                for level, seen in zip(levels, block.any(axis=0)) if rows.size and not seen
+                for name, was_seen in zip(cov_levels, seen) if keep.size and not was_seen
             ]
-            columns.append(block)
             continue
-        parsed = [_number(cell) for cell in col.tolist()]
+        parsed = [_number(cell) for cell in cells]
         values = np.array(parsed, dtype=float)  # an unparseable cell (None) reads NaN
         bad = ~np.isfinite(values)
         if cov.kind == KIND_LOG:
             bad |= values <= 0.0
-        if bad.any():
-            i = bad.argmax()
-            cell, value = col[i], parsed[i]
+        faulty = bad[codes]
+        if faulty.any():
+            i = faulty.argmax()
+            cell, value = cells[codes[i]], parsed[codes[i]]
             fault = (f"cannot parse {cell!r} as a number" if value is None
                      else f"non-finite value {cell!r}" if not math.isfinite(value)
                      else f"log transform of non-positive value {value}")
-            raise EncodingError(f"row {rows[i]}, column {cov.name!r}: {fault}")
+            raise EncodingError(f"row {keep[i] + 1}, column {cov.name!r}: {fault}")
         if cov.kind == KIND_LOG:
-            # math.log, not np.log: the two differ in the last bit on some inputs
-            values = np.array([math.log(value) for value in parsed])
+            # math.log, not np.log: the two differ in the last bit on some inputs;
+            # a bad cell that only dropped rows carry reads NaN and is never gathered
+            values = np.array([math.nan if skip else math.log(value)
+                               for value, skip in zip(parsed, bad.tolist())])
+        X[:, at] = values[codes]
         names.append(cov.name)
-        columns.append(values)
 
-    del cells  # free the cell arrays before column_stack copies the columns into X
-    X = np.column_stack(columns) if columns else np.zeros((rows.size, 0))
     dataset = Dataset(y=y, X=X, column_names=names, J=schema.J)
     report = EncodingReport(
         n_raw=raw.n_raw,
-        n_dropped=raw.n_raw - rows.size,
-        n=rows.size,
+        n_dropped=raw.n_raw - keep.size,
+        n=keep.size,
         warnings=warnings,
     )
     return dataset, report

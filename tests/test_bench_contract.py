@@ -1,13 +1,17 @@
-"""The package names that bench/tracing.py wraps must exist.
+"""The package names that bench/tracing.py wraps must exist and be used.
 
 The tracer looks every target up when it installs, so renaming or deleting
 one of them would crash each traced benchmark run. This test fails first.
 It loads the tracing module by file path and never installs the tracer.
+A target that exists but is no longer called would make its traced layer
+read 0 without an error, so the CLI's calls are pinned too.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from discretefit import cli, data
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -33,3 +37,22 @@ def test_every_traced_name_exists_in_the_package():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_cli_fit_reads_through_the_traced_data_functions(tmp_path, monkeypatch):
+    calls = []
+    for name in ("parse_csv", "build_dataset"):
+        original = getattr(data, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(data, name, counted)
+    csv_path, schema_path = tmp_path / "d.csv", tmp_path / "d.schema"
+    csv_path.write_text("y,x\n" + "".join(f"{1 + (i * 7) % 3},{i % 5}\n" for i in range(30)))
+    schema_path.write_text("response = y\nlabels = 1, 2, 3\ncovariate.x = continuous\n")
+    code = cli.main(["fit", "--data", str(csv_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "rep")])
+    assert code == 0
+    assert calls == ["parse_csv", "build_dataset"]

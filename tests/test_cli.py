@@ -159,6 +159,26 @@ class TestFit:
         assert rc == 1
         assert "'party=c' is zero in every observation" in capsys.readouterr().err
 
+    def test_carriage_return_line_endings_exit_1_with_message(self, sim_files, tmp_path, capsys):
+        data_path, schema_path = sim_files
+        mac = tmp_path / "mac.csv"
+        mac.write_bytes(data_path.read_bytes().replace(b"\n", b"\r"))
+        rc = run(["fit", "--data", mac, "--schema", schema_path, "--out", tmp_path / "rep"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: header row: new-line character seen in unquoted field")
+        assert "Traceback" not in err
+
+    def test_byte_order_mark_fits_like_the_plain_file(self, sim_files, tmp_path):
+        data_path, schema_path = sim_files
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + data_path.read_bytes())
+        assert run(["fit", "--data", data_path, "--schema", schema_path,
+                    "--out", tmp_path / "plain"]) == 0
+        assert run(["fit", "--data", marked, "--schema", schema_path,
+                    "--out", tmp_path / "bom"]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
     def test_non_convergence_exits_2_report_written(self, sim_files, tmp_path):
         data_path, schema_path = sim_files
         out = tmp_path / "hard"

@@ -1,9 +1,11 @@
 """Tests for CSV parsing, schema-driven encoding and data simulation."""
 
 import csv
+import gc
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from discretefit import (
     parse_csv,
     simulate_dataset,
 )
+from discretefit import data as data_mod
 from discretefit.data import (
     Covariate,
     dataset_to_csv,
@@ -78,6 +81,103 @@ class TestParseCsv:
     def test_invalid_utf8(self):
         with pytest.raises(ParseError):
             parse_csv(b"a,b\n\xff\xfe,2\n")
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self):
+        table = parse_csv("\ufeffy,x\nA,1\n".encode("utf-8"))
+        assert table.columns == ["y", "x"]
+        schema = SchemaConfig(response="y", labels=["A", "B"],
+                              covariates=[Covariate("x", "continuous")])
+        data, _ = build_dataset(table, schema)
+        assert list(data.y) == [1]
+
+    def test_header_only_table_has_no_rows(self):
+        table = parse_csv(b"a,b\n")
+        assert (table.columns, table.rows, table.n_raw) == (["a", "b"], [], 0)
+
+    def test_carriage_return_line_endings_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="^header row: new-line character"):
+            parse_csv(b"y,x\rA,1\rB,2\r")
+
+    def test_reader_error_names_the_row(self):
+        with pytest.raises(ParseError, match="^row 2: new-line character"):
+            parse_csv(b"y,x\nA,1\n\nB,a\rb\nA,2\n")
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("fault, message", [
+        ("1,2,3", "expected 2 fields, got 3"),
+        ("1,a\rb", "new-line character seen in unquoted field"),
+    ])
+    def test_fault_next_to_a_chunk_boundary_names_its_row(self, offset, fault, message):
+        # blank lines are not records and do not count
+        row = data_mod._CHUNK_ROWS + offset
+        lines = ["a,b"] + [f"{i},x" if i % 7 else "\n" for i in range(1, 3 * data_mod._CHUNK_ROWS)]
+        records = [k for k, line in enumerate(lines) if line != "\n"]
+        lines[records[row]] = fault
+        with pytest.raises(ParseError, match=re.escape(f"row {row}: {message}")):
+            parse_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("line_block", [1, 7, None])
+    def test_rows_equal_the_list_of_lists(self, monkeypatch, line_block):
+        if line_block:
+            monkeypatch.setattr(data_mod, "_LINE_BLOCK", line_block)
+        rng = np.random.default_rng(17)
+        pool = ["a", " a", "a ", "", "x,y", 'say "hi"', "line1\nline2", "crlf\r\nend",
+                "caf\u00e9", "sep\u2028arate", "tab\there", "1e400", "  7.5 "]
+        n = 2 * data_mod._CHUNK_ROWS + 3
+        rows = [[str(rng.choice(pool)) for _ in range(4)] for _ in range(n)]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=str(rng.choice(["\n", "\r\n"])))
+        writer.writerow(["a", "b", "c", "d"])
+        writer.writerows(rows)
+        text = buffer.getvalue()
+        table = parse_csv(text.encode("utf-8"))
+        assert table.rows == [row for row in csv.reader(io.StringIO(text)) if row][1:] == rows
+        assert table.n_raw == n
+        assert all(len(cells) == len(set(cells)) for cells in table.cells)
+
+    def test_retained_and_peak_memory_are_a_small_multiple_of_the_input(self):
+        # a 20,000-row survey: an id per row, integer answers and categorical ones
+        rng = np.random.default_rng(4)
+        n = 20_000
+        levels = {"pastuse": ["no", "yes"], "gender": ["male", "female"],
+                  "education": ["high school", "less than high school",
+                                "some college, no degree", "bachelor's degree"],
+                  "race": ["white", "black", "hispanic", "asian", "other"],
+                  "party": ["republican", "democrat", "independent"],
+                  "religion": ["protestant", "catholic", "none", "other"]}
+        columns = {
+            "respondent": [f"R{i:06d}" for i in range(1, n + 1)],
+            "opinion": rng.choice(["oppose", "medicinal", "personal", "don't know"], n,
+                                  p=[0.4, 0.3, 0.27, 0.03]).tolist(),
+            "age": rng.integers(18, 91, n).astype(str).tolist(),
+            "income": np.round(np.exp(rng.normal(10.8, 0.7, n))).astype(int).astype(str).tolist(),
+            "household": (1 + rng.poisson(1.6, n)).astype(str).tolist(),
+        }
+        columns.update({name: rng.choice(values, n).tolist() for name, values in levels.items()})
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
+        data = buffer.getvalue().encode("utf-8")
+        schema = SchemaConfig.from_text(
+            "response = opinion\nlabels = oppose, medicinal, personal\nmissing = don't know\n"
+            "covariate.age = log\ncovariate.income = log\ncovariate.household = continuous\n"
+            + "".join(f"covariate.{name} = categorical:{values[0]}\n"
+                      for name, values in levels.items())
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = parse_csv(data)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+            encoded, _ = build_dataset(table, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert encoded.X.shape == (n - np.sum(np.array(columns["opinion"]) == "don't know"), 18)
+        assert retained <= 4 * len(data)
+        assert peak <= 12 * len(data)
 
 
 class TestSchemaConfig:
@@ -201,6 +301,27 @@ class TestBuildDataset:
             response="y", labels=["A", "B"], covariates=[Covariate("zz", "continuous")],
         )
         with pytest.raises(SchemaError, match="zz"):
+            build_dataset(table, schema)
+
+    def test_duplicated_name_the_schema_does_not_use_is_fine(self):
+        table = parse_csv("y,x,z,z\nA,1,2,3\n")
+        schema = SchemaConfig(
+            response="y", labels=["A", "B"], covariates=[Covariate("x", "continuous")],
+        )
+        data, _ = build_dataset(table, schema)
+        assert data.column_names == ["intercept", "x"]
+
+    @pytest.mark.parametrize("covariates, message", [
+        (["y2", "zz"], "column 'y2' is named 2 times in the header"),
+        (["zz", "y2"], "column 'zz' not present in the data"),
+    ])
+    def test_duplicate_and_unknown_columns_fault_in_schema_order(self, covariates, message):
+        table = parse_csv("y,y2,y2\nC,1,2\n")
+        schema = SchemaConfig(
+            response="y", labels=["A", "B"],
+            covariates=[Covariate(name, "continuous") for name in covariates],
+        )
+        with pytest.raises(SchemaError, match=re.escape(message)):
             build_dataset(table, schema)
 
     def test_unparseable_number_names_row_and_column(self):
@@ -375,6 +496,20 @@ class TestDataset:
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(ValueError):
             Dataset(y=[0, 1], X=[[1.0], [1.0]], column_names=["x"], J=2)
+
+    @pytest.mark.parametrize("y", [[1.5, 2.0], [1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_non_integral_codes(self, y):
+        with pytest.raises(ValueError, match="response codes must be integers"):
+            Dataset(y=y, X=[[1.0], [1.0]], column_names=["x"], J=2)
+
+    def test_rejects_non_integral_category_count(self):
+        with pytest.raises(ValueError, match="J must be an integer"):
+            Dataset(y=[1, 2], X=[[1.0], [1.0]], column_names=["x"], J=2.5)
+
+    def test_integral_floats_accepted(self):
+        data = Dataset(y=np.array([1.0, 2.0]), X=[[1.0], [1.0]], column_names=["x"], J=2.0)
+        assert data.y.dtype.kind == "i" and list(data.y) == [1, 2]
+        assert data.J == 2 and isinstance(data.J, int)
 
     def test_empty_dataset_allowed(self):
         data = Dataset(y=np.zeros(0, dtype=int), X=np.zeros((0, 2)),
