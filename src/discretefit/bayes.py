@@ -218,16 +218,24 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     )
 
 
+_MIN_SUMMARY_DRAWS = 100
+
+
+def check_summary_draws(n_kept: int) -> None:
+    """Raise ValueError unless ``n_kept`` post-burn-in draws can be summarized."""
+    if n_kept < _MIN_SUMMARY_DRAWS:
+        raise ValueError(
+            f"need at least {_MIN_SUMMARY_DRAWS} post-burn-in draws, have {n_kept}"
+        )
+
+
 def posterior_summary(chain: ChainDraws) -> list[dict]:
     """Mean, sd and (2.5, 50, 97.5)% quantiles per parameter, post burn-in.
 
     Quantiles use linear interpolation of the order statistics.
     """
     draws = chain.draws()
-    if draws.shape[0] < 100:
-        raise ValueError(
-            f"need at least 100 post-burn-in draws, have {draws.shape[0]}"
-        )
+    check_summary_draws(draws.shape[0])
     qs = np.quantile(draws, [0.025, 0.5, 0.975], axis=0, method="linear")
     out = []
     for i, name in enumerate(chain.param_names):

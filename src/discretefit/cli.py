@@ -93,8 +93,11 @@ def _require_path(path: Path | None, what: str) -> Path:
 
 
 def _load_dataset(config: RunConfig):
-    raw = data_mod.parse_csv(_require_path(config.data_path, "data").read_bytes())
+    """Check both paths and read the schema before the CSV, so a missing or
+    malformed schema fails without parsing the data."""
+    data_path = _require_path(config.data_path, "data")
     schema = data_mod.SchemaConfig.from_file(_require_path(config.schema_path, "schema"))
+    raw = data_mod.parse_csv(data_path.read_bytes())
     dataset, report = data_mod.build_dataset(raw, schema)
     return dataset, schema, report
 
@@ -179,6 +182,8 @@ def cmd_effects(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     if not config.beta:
         raise InputError("--beta is required for simulate")
+    if config.n < 1:
+        raise InputError(f"--n must be at least 1, got {config.n}")
     J = len(config.cutpoints) + 2
     family = config.family_for(J)
     if family == "ordinal" and J == 2:
@@ -207,6 +212,8 @@ def cmd_bayes(config: RunConfig) -> int:
         raise InputError(
             f"the Gibbs sampler is probit-only; --link {config.link} is not supported"
         )
+    # refuse a chain too short to summarize before sampling it
+    bayes.check_summary_draws(max(config.draws - config.burn, 0))
     dataset, schema, report = _load_dataset(config)
     out = config.out or Path("chain")
     sample = (bayes.gibbs_binary_probit if config.family_for(dataset.J) == "binary"

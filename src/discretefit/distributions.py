@@ -4,9 +4,12 @@ Provides the standard-normal and logistic cdf/pdf/quantile plus unit-variance
 truncated-normal sampling. Everything else in the package is built on these.
 
 The normal kernels delegate to scipy.special (ndtr/ndtri/log_ndtr), which are
-accurate to well below 1e-14 absolute error. The logistic kernels exponentiate
-only -|w|, so they never overflow, and pick the sign-split formula per element
-arithmetically instead of through masked gathers and scatters. Truncated-normal
+accurate to well below 1e-14 absolute error. Every logistic kernel is built
+on one vectorized e = exp(-|w|), which never overflows. The cdf and density
+pick the sign-split formula per element arithmetically instead of through
+masked gathers and scatters; the log-cdf and log-density add one log1p(e)
+to max(-w, 0) or |w|. ``logistic_log_pdf_cdf`` gives the likelihood's
+derivative stage the log-density and the cdf from the same e. Truncated-normal
 draws use inverse-cdf sampling, switching to a log-domain formulation once
 the truncation interval sits beyond |6| standard deviations, where the naive
 inverse cdf loses all precision.
@@ -68,8 +71,7 @@ class Link(str, enum.Enum):
         w = np.asarray(w, dtype=float)
         if self is Link.PROBIT:
             return special.log_ndtr(w)
-        # log L(w) = -log(1 + exp(-w))
-        return -np.logaddexp(0.0, -w)
+        return _logistic_log_cdf(w, np.log1p(_exp_neg_abs(w)))
 
     def log_pdf(self, w):
         w = np.asarray(w, dtype=float)
@@ -77,7 +79,7 @@ class Link(str, enum.Enum):
             with np.errstate(invalid="ignore"):
                 out = -0.5 * w * w - 0.5 * math.log(2.0 * math.pi)
             return np.where(np.isinf(w), -np.inf, out)
-        return -np.logaddexp(0.0, -w) - np.logaddexp(0.0, w)
+        return _logistic_log_pdf(w, np.log1p(_exp_neg_abs(w)))
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -93,20 +95,53 @@ def _exp_neg_abs(w: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _logistic_cdf_raw(w: np.ndarray) -> np.ndarray:
-    """Logistic cdf, safe for the whole double range.
+def _logistic_cdf(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Logistic cdf from e = exp(-|w|), which it overwrites.
 
-    With e = exp(-|w|) this is where(w >= 0, 1, e) / (1 + e): per element
-    the sign-split formula 1/(1 + exp(-w)) or exp(w)/(1 + exp(w)), so the
-    same bits as evaluating each sign under a mask, ±0, ±inf and nan
-    included, without the gathers and scatters.
+    This is where(w >= 0, 1, e) / (1 + e): per element the sign-split
+    formula 1/(1 + exp(-w)) or exp(w)/(1 + exp(w)), so the same bits as
+    evaluating each sign under a mask, ±0, ±inf and nan included, without
+    the gathers and scatters.
     """
-    w = np.asarray(w, dtype=float)
-    e = _exp_neg_abs(w)
     out = np.maximum(e, w >= 0)  # the where() above: e <= 1, and nan stays nan
     e += 1.0
     out /= e
     return out
+
+
+def _logistic_log_cdf(w: np.ndarray, log1p_e: np.ndarray) -> np.ndarray:
+    """log F(w) = -(max(-w, 0) + log1p(exp(-|w|))) from log1p_e.
+
+    Per element the sign-split form -log1p(exp(-w)) or w - log1p(exp(w));
+    -0.0 where log F underflows (w beyond about 745, and +inf), -inf at -inf.
+    """
+    return -(np.maximum(-w, 0.0) + log1p_e)
+
+
+def _logistic_log_pdf(w: np.ndarray, log1p_e: np.ndarray) -> np.ndarray:
+    """log f(w) = log F(w) + log F(-w) = -log1p(e) - (|w| + log1p(e)).
+
+    One of max(-w, 0) and max(w, 0) is zero, so this adds the two log-cdf
+    terms in the same order and with the same roundings.
+    """
+    return -(np.abs(w) + log1p_e) - log1p_e
+
+
+def logistic_log_pdf_cdf(w) -> tuple[np.ndarray, np.ndarray]:
+    """Logistic (log f(w), F(w)) from one exp(-|w|) and one log1p.
+
+    The same bits as ``Link.LOGIT.log_pdf`` and ``Link.LOGIT.cdf``; ±inf
+    give (-inf, 0) and (-inf, 1).
+    """
+    w = np.asarray(w, dtype=float)
+    e = _exp_neg_abs(w)
+    return _logistic_log_pdf(w, np.log1p(e)), _logistic_cdf(w, e)
+
+
+def _logistic_cdf_raw(w: np.ndarray) -> np.ndarray:
+    """Logistic cdf, safe for the whole double range."""
+    w = np.asarray(w, dtype=float)
+    return _logistic_cdf(w, _exp_neg_abs(w))
 
 
 def _logistic_pdf_raw(w: np.ndarray) -> np.ndarray:

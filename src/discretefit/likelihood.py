@@ -19,7 +19,9 @@ One likelihood pass runs in two stages. The first computes the interval
 bounds and log-probabilities and sums them into the log-likelihood; it
 returns them as a state. The derivative stage turns that state into the
 gradient and, if asked, the Hessian, computing the pdf ratios and curvature
-once for both. A line search scores its candidates with the first stage
+once for both. For the logit it takes the log-density (for the ratios f/p)
+and the cdf (for the curvature) at each bound from one exp(-|w|) and one
+log1p. A line search scores its candidates with the first stage
 alone and runs the derivative stage only on the candidate it accepts, so no
 bound or log-probability is computed twice.
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .distributions import Link
+from .distributions import Link, logistic_log_pdf_cdf
 
 FAMILY_BINARY = "binary"
 FAMILY_ORDINAL = "ordinal"
@@ -176,25 +178,37 @@ def _spacing_jacobian(delta: np.ndarray) -> np.ndarray:
     return np.tril(np.tile(np.exp(delta), (m, 1)))
 
 
-def _pdf_ratios(spec: ModelSpec, a, b, logp) -> tuple[np.ndarray, np.ndarray]:
-    """f(a)/p and f(b)/p computed in log space; zero at infinite bounds."""
+def _pdf_ratios(spec: ModelSpec, a, b, logp):
+    """f(a)/p and f(b)/p computed in log space, zero at infinite bounds, and
+    the cdf at (a, b) that the logit curvature needs (None for the probit).
+
+    The logit takes log f and F at each bound from one exp(-|w|) and one
+    log1p.
+    """
     link = spec.link
     with np.errstate(invalid="ignore", over="ignore"):
-        r_a = np.exp(link.log_pdf(a) - logp)
-        r_b = np.exp(link.log_pdf(b) - logp)
-    return r_a, r_b
+        if link is Link.PROBIT:
+            log_fa, log_fb, cdfs = link.log_pdf(a), link.log_pdf(b), None
+        else:
+            log_fa, cdf_a = logistic_log_pdf_cdf(a)
+            log_fb, cdf_b = logistic_log_pdf_cdf(b)
+            cdfs = cdf_a, cdf_b
+        r_a = np.exp(log_fa - logp)
+        r_b = np.exp(log_fb - logp)
+    return r_a, r_b, cdfs
 
 
-def _curvature_terms(spec: ModelSpec, a, b, r_a, r_b):
-    """Second derivatives of log p w.r.t. the interval bounds (a, b)."""
+def _curvature_terms(spec: ModelSpec, a, b, r_a, r_b, cdfs):
+    """Second derivatives of log p w.r.t. the interval bounds (a, b);
+    ``cdfs`` is the third value ``_pdf_ratios`` returns."""
     if spec.link is Link.PROBIT:
         # d/dw phi(w) = -w phi(w); the infinite bounds contribute nothing
         with np.errstate(invalid="ignore"):
             da = np.where(np.isfinite(a), a * r_a, 0.0)
             db = np.where(np.isfinite(b), -b * r_b, 0.0)
     else:
-        lam_a = spec.link.cdf(a)
-        lam_b = spec.link.cdf(b)
+        # d/dw f(w) = f(w) (1 - 2 F(w))
+        lam_a, lam_b = cdfs
         da = -r_a * (1.0 - 2.0 * lam_a)
         db = r_b * (1.0 - 2.0 * lam_b)
     d2aa = da - r_a * r_a
@@ -236,7 +250,7 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
     """
     params, a, b, logp = state
     X, y, J = data.X, data.y, spec.J
-    r_a, r_b = _pdf_ratios(spec, a, b, logp)
+    r_a, r_b, cdfs = _pdf_ratios(spec, a, b, logp)
     A = _spacing_jacobian(params.delta)
     n_bins = J + 2  # bincount target length
     grad_gamma = np.bincount(y, r_b, n_bins)[2:J] - np.bincount(y, r_a, n_bins)[3:J + 1]
@@ -245,7 +259,7 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
     if order == 1:
         return grad, None
 
-    d2aa, d2bb, d2ab = _curvature_terms(spec, a, b, r_a, r_b)
+    d2aa, d2bb, d2ab = _curvature_terms(spec, a, b, r_a, r_b, cdfs)
     H = X.T @ (X * (d2aa + d2bb + 2.0 * d2ab)[:, None])
     if J > 2:
         bb_by_cat = np.bincount(y, d2bb, n_bins)
@@ -291,7 +305,7 @@ def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndar
     _check_dimensions(spec, params, data)
     a, b = _bounds(params, data)
     logp, _ = _interval_logprob(spec.link, a, b)
-    r_a, r_b = _pdf_ratios(spec, a, b, logp)
+    r_a, r_b, _ = _pdf_ratios(spec, a, b, logp)
     scores_beta = data.X * (r_a - r_b)[:, None]
     if spec.J == 2:
         return scores_beta

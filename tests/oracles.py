@@ -3,8 +3,10 @@
 Nothing here touches scipy or the package under test: the normal cdf comes
 from a high-precision Taylor series for erf (>= 30 terms, evaluated in
 50-digit arithmetic), far tails from the asymptotic Mills-ratio expansion,
-quantiles from bisection on the series, and chi-square tails from a direct
-series / continued-fraction evaluation of the regularized incomplete gamma.
+quantiles from bisection on the series, the logistic log-cdf and log-density
+from their definitions in 50-digit arithmetic, and chi-square tails from a
+direct series / continued-fraction evaluation of the regularized incomplete
+gamma.
 ``encode_rowwise`` is a row-by-row reference for the schema encoder.
 """
 
@@ -83,6 +85,28 @@ def norm_quantile_oracle(p: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def logistic_log_cdf_oracle(w) -> mpmath.mpf:
+    """log F(w) = -log(1 + exp(-w)) of the logistic, in 50-digit arithmetic."""
+    return -mpmath.log1p(mpmath.exp(-mpmath.mpf(w)))
+
+
+def logistic_log_pdf_oracle(w) -> mpmath.mpf:
+    """log f(w) = log F(w) + log F(-w) of the logistic, in 50-digit arithmetic."""
+    return logistic_log_cdf_oracle(w) + logistic_log_cdf_oracle(-w)
+
+
+def ulp_distance(got, exact) -> int:
+    """How many doubles lie between ``got`` and the double nearest to
+    ``exact``, plus one if they differ: 0 when ``got`` is correctly rounded,
+    1 when it is a neighbour of that double. Both zeros count as one value."""
+
+    def rank(x: float) -> int:
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(rank(got) - rank(float(exact)))
 
 
 def _lower_gamma_series(a: float, x: float) -> float:

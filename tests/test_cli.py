@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import discretefit
+from discretefit import bayes, data
 from discretefit.cli import main
 
 
@@ -72,6 +73,14 @@ class TestSimulate:
                   "--cutpoints", cutpoints, "--out", tmp_path / "o.csv"])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_nonpositive_n_is_input_error(self, tmp_path, capsys, n):
+        out = tmp_path / "o.csv"
+        rc = run(["simulate", "--beta", "0.3,0.5", "--n", n, "--out", out])
+        assert rc == 1
+        assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_cutpoints_rejected(self, tmp_path, capsys):
         rc = run([
@@ -303,6 +312,60 @@ class TestBayes:
         ])
         assert rc == 1
         assert "mh_step" in capsys.readouterr().err
+
+
+class TestFailFast:
+    """Faults found without the data are reported before it is parsed or
+    sampled."""
+
+    @pytest.fixture
+    def no_parse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data.parse_csv was called")
+
+        monkeypatch.setattr(data, "parse_csv", refuse)
+
+    @pytest.mark.parametrize("command", ["fit", "effects", "bayes"])
+    def test_missing_schema_reported_before_parsing(self, sim_files, tmp_path, capsys,
+                                                    no_parse, command):
+        data_path, _ = sim_files
+        rc = run([command, "--data", data_path, "--schema", tmp_path / "absent.schema",
+                  "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert "schema file not found" in capsys.readouterr().err
+
+    def test_malformed_schema_reported_before_parsing(self, sim_files, tmp_path, capsys,
+                                                      no_parse):
+        data_path, _ = sim_files
+        schema = tmp_path / "bad.schema"
+        schema.write_text("garbage line\n")
+        rc = run(["fit", "--data", data_path, "--schema", schema, "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert "schema line 1: expected 'key = value'" in capsys.readouterr().err
+        assert not (tmp_path / "rep.txt").exists()
+
+    def test_missing_data_reported_first(self, tmp_path, capsys, no_parse):
+        rc = run(["fit", "--data", tmp_path / "absent.csv", "--schema", tmp_path / "absent.schema"])
+        assert rc == 1
+        assert "data file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,cutpoints", [("binary", ""), ("ordinal", "1.0")])
+    def test_too_few_kept_draws_refused_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                        family, cutpoints):
+        sim = tmp_path / "sim.csv"
+        assert run(["simulate", "--family", family, "--beta", "0.3,0.4",
+                    "--cutpoints", cutpoints, "--n", "300", "--out", sim]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(bayes, "_gibbs_probit", refuse)
+        out = tmp_path / "ch"
+        rc = run(["bayes", "--data", sim, "--schema", tmp_path / "sim.schema",
+                  "--draws", "150", "--burn", "100", "--out", out])
+        assert rc == 1
+        assert "need at least 100 post-burn-in draws, have 50" in capsys.readouterr().err
+        assert not any(tmp_path.glob("ch.*"))
 
 
 class TestReproducibility:

@@ -17,13 +17,16 @@ from discretefit import (
     trunc_norm_draws,
     trunc_norm_sample,
 )
-from discretefit.distributions import _logistic_cdf_raw
+from discretefit.distributions import _logistic_cdf_raw, logistic_log_pdf_cdf
 
 from oracles import (
     ks_statistic,
+    logistic_log_cdf_oracle,
+    logistic_log_pdf_oracle,
     norm_cdf_float_oracle,
     norm_cdf_oracle,
     norm_log_tail_oracle,
+    ulp_distance,
 )
 
 # values derived once from the series / asymptotic oracles in oracles.py
@@ -182,6 +185,69 @@ class TestLogisticKernelBits:
         for w in (np.zeros(0), np.zeros((0, 3))):
             assert _logistic_cdf_raw(w).shape == w.shape
             assert Link.LOGIT.pdf(w).shape == w.shape
+
+
+def _logaddexp_log_cdf(w):
+    """The logaddexp form of the logistic log-cdf, -log(1 + exp(-w))."""
+    return -np.logaddexp(0.0, -np.asarray(w, dtype=float))
+
+
+def _logaddexp_log_pdf(w):
+    w = np.asarray(w, dtype=float)
+    return _logaddexp_log_cdf(w) + _logaddexp_log_cdf(-w)
+
+
+class TestLogisticLogKernels:
+    """The logistic log-cdf and log-density against the 50-digit oracle."""
+
+    GRID = np.concatenate([
+        np.linspace(-740.0, 740.0, 1481),
+        np.random.default_rng(12).normal(0.0, 5.0, 1000),
+        np.random.default_rng(13).normal(0.0, 1e-3, 200),
+    ])
+
+    @pytest.fixture(autouse=True)
+    def _no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("kernel,oracle", [
+        (Link.LOGIT.log_cdf, logistic_log_cdf_oracle),
+        (Link.LOGIT.log_pdf, logistic_log_pdf_oracle),
+    ])
+    def test_within_one_ulp(self, kernel, oracle):
+        got = kernel(self.GRID)
+        worst = max(ulp_distance(g, oracle(w)) for g, w in zip(got, self.GRID))
+        assert worst <= 1
+
+    def test_edges_bit_for_bit(self):
+        w = np.array(TestLogisticKernelBits.EDGES)
+        with np.errstate(invalid="ignore"):
+            want_cdf, want_pdf = _logaddexp_log_cdf(w), _logaddexp_log_pdf(w)
+        assert _same_bits(Link.LOGIT.log_cdf(w), want_cdf)
+        assert _same_bits(Link.LOGIT.log_pdf(w), want_pdf)
+        for v, c, d in zip(w, want_cdf, want_pdf):
+            assert _same_bits(Link.LOGIT.log_cdf(v), c)
+            assert _same_bits(Link.LOGIT.log_pdf(v), d)
+            if math.isfinite(v):
+                assert c == float(logistic_log_cdf_oracle(v))
+                assert d == float(logistic_log_pdf_oracle(v))
+        # log F = -log1p(exp(-w)) underflows to -0.0 past w ~ 745
+        assert np.signbit(Link.LOGIT.log_cdf(np.array([800.0, np.inf]))).all()
+
+    @pytest.mark.parametrize("shape", [(-1,), (5, -1), (-1, 1)])
+    def test_shared_exponential_matches_link_methods(self, shape):
+        w = TestLogisticKernelBits()._inputs()[: 5 * 241].reshape(shape)
+        log_f, cdf = logistic_log_pdf_cdf(w)
+        assert _same_bits(log_f, Link.LOGIT.log_pdf(w))
+        assert _same_bits(cdf, Link.LOGIT.cdf(w))
+
+    def test_shared_exponential_zero_dimensional(self):
+        for v in TestLogisticKernelBits.EDGES:
+            log_f, cdf = logistic_log_pdf_cdf(v)
+            assert _same_bits(log_f, Link.LOGIT.log_pdf(v))
+            assert _same_bits(cdf, Link.LOGIT.cdf(v))
 
 
 class TestNormInvCdf:

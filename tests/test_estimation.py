@@ -13,6 +13,7 @@ from discretefit import (
     ModelSpec,
     ParamVector,
     SeparationError,
+    effects_table,
     fit_intercept_only,
     fit_ml,
     hit_rate,
@@ -431,3 +432,24 @@ class TestSummaryTable:
         assert payload["hit_rate"] == fit.hit_rate
         assert payload["converged"] is True
         assert payload["coefficients"][0]["estimate"] == 1.2
+
+
+class TestLogitWithoutLogaddexp:
+    @pytest.mark.parametrize("J", [2, 4])
+    def test_fit_and_effects_never_call_logaddexp(self, J, monkeypatch):
+        rng = np.random.default_rng(90 + J)
+        spec = ModelSpec("binary" if J == 2 else "ordinal", Link.LOGIT, J=J, k=3, intercept=True)
+        sim = simulate_dataset(spec, [0.3, -0.7, 0.5], np.linspace(0.8, 1.6, J - 2), 500, rng)
+        X = sim.X.copy()
+        X[:, 2] = X[:, 2] > 0.0  # one indicator, one continuous covariate
+        data = Dataset(y=sim.y, X=X, column_names=sim.column_names, J=J)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.logaddexp was called")
+
+        monkeypatch.setattr(np, "logaddexp", refuse)
+        fit = fit_ml(spec, data)
+        assert fit.converged
+        assert fit.hit_rate == hit_rate(spec, fit.params, data) > 0.0
+        table = effects_table(spec, fit.params, data)
+        assert [eff.kind for eff in table.rows] == ["continuous", "indicator"]

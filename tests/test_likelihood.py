@@ -20,6 +20,7 @@ from discretefit import (
     simulate_dataset,
 )
 from discretefit import predict_prob
+from discretefit import likelihood as lk
 from discretefit.likelihood import _cut_weights, _evaluate, _interval_logprob, score_matrix
 
 from oracles import finite_diff_grad, finite_diff_jac
@@ -357,6 +358,78 @@ class TestFusedKernel:
         # the cdf at every cut-point, -inf and +inf included
         want = np.diff(link.cdf(params.cutpoints()[None, :] - xb[:, None]), axis=1)
         np.testing.assert_array_equal(predict_prob(spec, params, X), want)
+
+
+def _inline_pdf_ratios(spec, a, b, logp):
+    """The pdf ratios from one ``log_pdf`` call per bound, and the logit
+    cdf from a separate ``cdf`` call per bound."""
+    link = spec.link
+    with np.errstate(invalid="ignore", over="ignore"):
+        r_a = np.exp(link.log_pdf(a) - logp)
+        r_b = np.exp(link.log_pdf(b) - logp)
+    cdfs = None if link is Link.PROBIT else (link.cdf(a), link.cdf(b))
+    return r_a, r_b, cdfs
+
+
+def _inline_curvature_terms(spec, a, b, r_a, r_b):
+    """d2 log p / d(a, b)^2 written out from ``Link.cdf``."""
+    if spec.link is Link.PROBIT:
+        with np.errstate(invalid="ignore"):
+            da = np.where(np.isfinite(a), a * r_a, 0.0)
+            db = np.where(np.isfinite(b), -b * r_b, 0.0)
+    else:
+        da = -r_a * (1.0 - 2.0 * spec.link.cdf(a))
+        db = r_b * (1.0 - 2.0 * spec.link.cdf(b))
+    return da - r_a * r_a, db - r_b * r_b, r_a * r_b
+
+
+def _wide_instance(link, J, n, seed):
+    """Data drawn from the model with x'b spread over [-40, 40], so the
+    interval bounds reach |w| = 40 besides the infinite outer cut-points."""
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec("binary" if J == 2 else "ordinal", link, J=J, k=3, intercept=True)
+    params = ParamVector([0.3, 1.0, -0.5], np.linspace(-0.3, 0.2, J - 2))
+    X = np.column_stack([np.ones(n), rng.uniform(-40.0, 40.0, n), rng.standard_normal(n)])
+    noise = rng.logistic(size=n) if link is Link.LOGIT else rng.standard_normal(n)
+    y = np.searchsorted(params.cutpoints()[1:-1], X @ params.beta + noise, side="left") + 1
+    data = Dataset(y=y, X=X, column_names=["intercept", "x1", "x2"], J=J)
+    return spec, params, data
+
+
+class TestSharedExponentialDerivatives:
+    """The derivative stage, which takes the logit log-density and cdf at a
+    bound from one exp(-|w|), keeps the bits of the inline formulas."""
+
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_bound_terms_bit_identical(self, link):
+        rng = np.random.default_rng(61)
+        ends = np.concatenate([[-np.inf, np.inf, 0.0], np.linspace(-40.0, 40.0, 81),
+                               rng.uniform(-40.0, 40.0, 200)])
+        a, b = np.meshgrid(ends, ends)
+        keep = a < b
+        a, b = a[keep], b[keep]
+        spec = ModelSpec("ordinal", link, J=3, k=1)
+        logp, _ = _interval_logprob(link, a, b)
+        r_a, r_b, cdfs = lk._pdf_ratios(spec, a, b, logp)
+        want_a, want_b, _ = _inline_pdf_ratios(spec, a, b, logp)
+        np.testing.assert_array_equal(r_a, want_a)
+        np.testing.assert_array_equal(r_b, want_b)
+        got = lk._curvature_terms(spec, a, b, r_a, r_b, cdfs)
+        for g, w in zip(got, _inline_curvature_terms(spec, a, b, want_a, want_b)):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("J", [2, 3, 4, 5])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_gradient_and_hessian_bit_identical(self, link, J, monkeypatch):
+        spec, params, data = _wide_instance(link, J, n=400, seed=70 + J)
+        _, _, grad, H = _evaluate(spec, params, data, 2)
+        assert np.all(np.isfinite(H))
+        monkeypatch.setattr(lk, "_pdf_ratios", _inline_pdf_ratios)
+        monkeypatch.setattr(lk, "_curvature_terms",
+                            lambda spec, a, b, r_a, r_b, cdfs: _inline_curvature_terms(spec, a, b, r_a, r_b))
+        _, _, want_grad, want_H = _evaluate(spec, params, data, 2)
+        np.testing.assert_array_equal(grad, want_grad)
+        np.testing.assert_array_equal(H, want_H)
 
 
 class TestModelSpecValidation:
