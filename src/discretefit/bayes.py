@@ -12,6 +12,14 @@ full conditional N((B0^-1 + X'X)^-1 (B0^-1 b0 + X'z), (B0^-1 + X'X)^-1).
 Chains start from the share-quantile values of ``likelihood.initial_params``,
 or from zero when some category is unobserved.
 
+The sweep does only the work that can change a draw. It computes X beta once
+per coefficient draw; the latent draw and the per-row log-likelihood at the
+new beta both use it. A cut-point proposal moves no bound of a row with
+y = 1, whose interval is (-inf, 0], so the MH step re-evaluates only the
+rows with y >= 2 and sums them with the kept values of the others, which
+gives the bits of a full pass. The draws are the same as from full
+likelihood passes.
+
 Default priors are weakly informative: beta ~ N(0, 100 I) and each log
 spacing ~ N(0, 25). With no data the samplers reproduce the prior.
 """
@@ -28,7 +36,7 @@ from scipy import linalg
 from . import likelihood as lk
 from .data import Dataset
 from .distributions import Link, trunc_norm_draws
-from .likelihood import FAMILY_ORDINAL, ModelSpec, ParamVector
+from .likelihood import FAMILY_ORDINAL, ModelSpec
 
 
 @dataclass
@@ -44,14 +52,21 @@ class PriorSpec:
         B0 = 100.0 * np.eye(k) if self.B0 is None else np.asarray(self.B0, dtype=float)
         if b0.shape != (k,):
             raise ValueError(f"prior mean has shape {b0.shape}, expected ({k},)")
+        if not np.all(np.isfinite(b0)):
+            raise ValueError(f"prior mean b0 must be finite, got {b0}")
+        if not np.all(np.isfinite(B0)):
+            raise ValueError("prior covariance B0 must be finite")
         if B0.shape != (k, k) or not np.allclose(B0, B0.T):
             raise ValueError("prior covariance must be a symmetric k x k matrix")
         try:
             linalg.cho_factor(B0)
         except linalg.LinAlgError:
             raise ValueError("prior covariance must be positive definite") from None
-        if self.delta_var <= 0:
-            raise ValueError("delta prior variance must be positive")
+        if not (math.isfinite(self.delta_var) and self.delta_var > 0):
+            raise ValueError(
+                f"delta_var (the delta prior variance) must be positive and finite, "
+                f"got {self.delta_var}"
+            )
         return b0, B0
 
 
@@ -90,8 +105,24 @@ def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
     return rng, None
 
 
+def _check_lapack_info(routine: str, info: int) -> None:
+    """Raise as scipy's solve wrappers do on a nonzero LAPACK ``info``."""
+    if info > 0:
+        raise linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
+
+
 def _coef_sampler(X: np.ndarray, b0: np.ndarray, B0: np.ndarray):
-    """Precompute the conjugate-normal pieces for the beta full conditional."""
+    """Precompute the conjugate-normal pieces for the beta full conditional.
+
+    A draw solves with the Cholesky factor L of the posterior precision by
+    LAPACK ``potrs`` (the mean) and ``trtrs`` on L' (the noise), fetched
+    once: the routines and the Fortran-ordered operands that ``cho_solve``
+    and ``solve_triangular(L.T, ..., lower=False)`` reach, without their
+    per-call conversions and finiteness checks. The inputs are checked once,
+    by ``PriorSpec.resolved`` and the Dataset.
+    """
     P0 = linalg.cho_solve(linalg.cho_factor(B0), np.eye(B0.shape[0]))
     precision = P0 + X.T @ X
     try:
@@ -99,11 +130,16 @@ def _coef_sampler(X: np.ndarray, b0: np.ndarray, B0: np.ndarray):
     except np.linalg.LinAlgError:
         raise ValueError("posterior precision for beta is singular") from None
     P0b0 = P0 @ b0
+    L_fortran = np.asfortranarray(L)
+    L_upper = L.T  # a Fortran-ordered view
+    potrs, trtrs = linalg.get_lapack_funcs(("potrs", "trtrs"), (L_fortran,))
 
     def draw(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rhs = P0b0 + X.T @ z
-        mean = linalg.cho_solve((L, True), rhs)
-        noise = linalg.solve_triangular(L.T, rng.standard_normal(b0.size), lower=False)
+        mean, info = potrs(L_fortran, P0b0 + X.T @ z, lower=1, overwrite_b=1)
+        _check_lapack_info("potrs", info)
+        noise, info = trtrs(L_upper, rng.standard_normal(b0.size), lower=0, trans=0,
+                            overwrite_b=1)
+        _check_lapack_info("trtrs", info)
         return mean + noise
 
     return draw
@@ -147,8 +183,8 @@ def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
         raise ValueError("J = 2 data is binary; use gibbs_binary_probit")
     if data.J < 3:
         raise ValueError("ordinal sampler needs J >= 3 categories")
-    if mh_step <= 0:
-        raise ValueError(f"mh_step must be positive, got {mh_step}")
+    if not (math.isfinite(mh_step) and mh_step > 0):
+        raise ValueError(f"mh_step must be positive and finite, got {mh_step}")
     return _gibbs_probit(data, prior, S, burn, rng, debug, mh_step)
 
 
@@ -157,17 +193,20 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     """The sweep loop shared by both samplers, for any J >= 2.
 
     With J = 2 the cut-point block is empty: no likelihood pass, no MH
-    draws (``mh_step`` is unused), and ``accept_rate`` is None.
+    draws (``mh_step`` is unused), and ``accept_rate`` is None. Otherwise
+    ``cur_logp`` holds the per-row log-probabilities at the current
+    (beta, delta), refreshed after each coefficient draw.
     """
     if not S > burn >= 0:
         raise ValueError(f"need S > burn >= 0, got S = {S}, burn = {burn}")
     prior = prior or PriorSpec()
     rng, seed = _resolve_rng(rng)
-    k = data.X.shape[1]
+    X, y = data.X, data.y
+    k = X.shape[1]
     b0, B0 = prior.resolved(k)
-    draw_beta = _coef_sampler(data.X, b0, B0)
+    draw_beta = _coef_sampler(X, b0, B0)
     spec = ModelSpec(family=FAMILY_ORDINAL, link=Link.PROBIT, J=data.J, k=k,
-                     intercept=bool(data.n) and np.all(data.X[:, 0] == 1.0))
+                     intercept=bool(data.n) and np.all(X[:, 0] == 1.0))
 
     try:
         start = lk.initial_params(spec, data)
@@ -180,33 +219,43 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     delta_draws = np.empty((S, m_free))
     accepted = 0
     half_prec = 0.5 / prior.delta_var
+    lower, upper = _latent_bounds(delta, y, debug)
+    xb = X @ beta
     if m_free:
-        cur_ll = lk.loglik(spec, ParamVector(beta, delta), data)
+        moved = np.flatnonzero(y >= 2)  # rows with a bound among the free cut-points
+        y_moved = y[moved]
+        cur_logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
+        cur_ll = float(np.sum(cur_logp))
         cur_prior = -half_prec * float(delta @ delta)
-    lower, upper = _latent_bounds(delta, data.y, debug)
     z = np.zeros(0)
 
     for s in range(S):
         # cut-point block: random-walk MH on the log spacings
         if m_free:
             proposal = delta + mh_step * rng.standard_normal(m_free)
-            prop_ll = lk.loglik(spec, ParamVector(beta, proposal), data)
+            gamma = lk.cutpoints_from_delta(proposal)
+            xb_moved = xb[moved]
+            prop_logp = cur_logp.copy()
+            prop_logp[moved] = lk._interval_logprob(
+                Link.PROBIT, gamma[y_moved - 1] - xb_moved, gamma[y_moved] - xb_moved)[0]
+            prop_ll = float(np.sum(prop_logp))
             prop_prior = -half_prec * float(proposal @ proposal)
             log_ratio = (prop_ll + prop_prior) - (cur_ll + cur_prior)
             if rng.uniform() < math.exp(min(0.0, log_ratio)):
-                delta = proposal
-                cur_ll, cur_prior = prop_ll, prop_prior
+                delta, cur_prior = proposal, prop_prior  # cur_logp is refreshed below
                 accepted += 1
-                lower, upper = _latent_bounds(delta, data.y, debug)
+                lower, upper = _latent_bounds(delta, y, debug)
 
         # latent utilities, then the coefficient block
         if data.n:
-            z = trunc_norm_draws(data.X @ beta, lower, upper, rng)
+            z = trunc_norm_draws(xb, lower, upper, rng)
             if debug:
                 assert np.all(lower < z) and np.all(z <= upper)
         beta = draw_beta(z, rng)
+        xb = X @ beta
         if m_free:
-            cur_ll = lk.loglik(spec, ParamVector(beta, delta), data)
+            cur_logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
+            cur_ll = float(np.sum(cur_logp))
         beta_draws[s] = beta
         delta_draws[s] = delta
 

@@ -204,7 +204,9 @@ def trunc_norm_draws(mean, lower, upper, rng: np.random.Generator, size=None):
 
     ``mean``, ``lower`` and ``upper`` broadcast against each other; each draw
     consumes exactly one uniform from ``rng`` so streams stay aligned no
-    matter which branch an element takes.
+    matter which branch an element takes. The inverse-cdf formula runs on
+    every element; only the elements whose interval lies beyond
+    ``_TAIL_SPLIT`` are then redrawn, from the same uniform, in log space.
     """
     mean = np.asarray(mean, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -217,27 +219,22 @@ def trunc_norm_draws(mean, lower, upper, rng: np.random.Generator, size=None):
     if size is not None:
         shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)) if not isinstance(size, tuple) else size)
 
-    a = np.broadcast_to(lower - mean, shape).copy()
-    b = np.broadcast_to(upper - mean, shape).copy()
+    a = np.broadcast_to(lower - mean, shape)  # read-only views, never copied
+    b = np.broadcast_to(upper - mean, shape)
     u = rng.uniform(size=shape)
 
-    out = np.empty(shape)
+    fa = special.ndtr(a)
+    fb = special.ndtr(b)
+    p = fa + (1.0 - u) * (fb - fa)
+    out = np.asarray(special.ndtri(np.minimum(p, _LARGEST_P_BELOW_1)))  # writable, 0-d too
     right = a >= _TAIL_SPLIT
     left = b <= -_TAIL_SPLIT
-    mid = ~(right | left)
-
-    if np.any(mid):
-        fa = special.ndtr(a[mid])
-        fb = special.ndtr(b[mid])
-        p = fa + (1.0 - u[mid]) * (fb - fa)
-        p = np.minimum(p, _LARGEST_P_BELOW_1)
-        out[mid] = special.ndtri(p)
     if np.any(right):
         out[right] = _upper_tail_draw(a[right], b[right], u[right])
     if np.any(left):
         out[left] = -_upper_tail_draw(-b[left], -a[left], u[left])
 
-    return out + np.broadcast_to(mean, shape)
+    return out + mean
 
 
 def trunc_norm_sample(mean: float, lower: float, upper: float, rng: np.random.Generator) -> float:

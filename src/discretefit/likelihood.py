@@ -10,10 +10,11 @@ optimizer can run unconstrained.
 Cell probabilities F(gamma_j - x'b) - F(gamma_{j-1} - x'b) are evaluated as a
 log-difference in whichever tail of the link distribution has the smaller
 magnitude; the textbook subtraction of two cdf values loses all precision
-once both arguments are beyond ~6; only that tail's two log-cdf values are
-computed. Cells whose log-probability falls below -745 (the smallest
-representable log) are clamped there and counted, so a line search can
-survive extreme parameter values instead of dying on -inf.
+once both arguments are beyond ~6; only that tail's log-cdf values are
+computed, two per row or one for an end-category row. Cells whose
+log-probability falls below -745 (the smallest representable log) are
+clamped there and counted, so a line search can survive extreme parameter
+values instead of dying on -inf.
 
 One likelihood pass runs in two stages. The first computes the interval
 bounds and log-probabilities and sums them into the log-likelihood; it
@@ -122,6 +123,9 @@ def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     from two cdf values saturating at the same end. Only the chosen tail is
     computed: with F(-w) = 1 - F(w) both cases are
     log F(hi) + log1p(-F(lo)/F(hi)) for (hi, lo) = (b, a) or (-a, -b).
+    An end-category row (a = -inf or b = +inf) has lo = -inf, where the
+    correction is log1p(-0) = -0 and the sum is exactly log F(hi), so such a
+    row takes one log-cdf and the correction runs only where lo > -inf.
     Returns the clamped log-probabilities and the number of clamped cells.
     """
     a = np.asarray(a, dtype=float)
@@ -130,8 +134,10 @@ def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
         use_left = b <= -a
         hi = np.where(use_left, b, -a)
         lo = np.where(use_left, a, -b)
-        log_hi = link.log_cdf(hi)
-        out = log_hi + np.log1p(-np.exp(link.log_cdf(lo) - log_hi))
+        out = np.asarray(link.log_cdf(hi))  # an array even for 0-d input
+        rows = np.flatnonzero(lo != -np.inf)
+        log_hi = np.take(out, rows)
+        np.put(out, rows, log_hi + np.log1p(-np.exp(link.log_cdf(np.take(lo, rows)) - log_hi)))
     n_clamped = int(np.sum(out < _LOG_FLOOR))
     if n_clamped:
         out = np.maximum(out, _LOG_FLOOR)

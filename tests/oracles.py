@@ -8,6 +8,10 @@ from their definitions in 50-digit arithmetic, and chi-square tails from a
 direct series / continued-fraction evaluation of the regularized incomplete
 gamma.
 ``encode_rowwise`` is a row-by-row reference for the schema encoder.
+``trunc_norm_draws_masked`` and ``gibbs_probit_reference`` are the earlier
+forms of the truncated-normal draws and of the probit sweep loop (masked
+branches, full likelihood passes, scipy's solve wrappers); they do use scipy
+and the package, and the faster forms must reproduce their draws bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +20,16 @@ import math
 
 import mpmath
 import numpy as np
+from scipy import linalg, special
+
+from discretefit import bayes
+from discretefit import likelihood as lk
+from discretefit.distributions import (
+    _LARGEST_P_BELOW_1,
+    _TAIL_SPLIT,
+    Link,
+    _upper_tail_draw,
+)
 
 mpmath.mp.dps = 50
 
@@ -267,3 +281,92 @@ def encode_rowwise(raw, schema):
     X = np.array(columns, dtype=float).reshape(len(columns), len(kept)).T
     n_raw = len(raw.rows)
     return X, np.array(y, dtype=int), names, (n_raw, n_raw - len(kept), len(kept), warnings)
+
+
+def trunc_norm_draws_masked(mean, lower, upper, rng, size=None):
+    """``trunc_norm_draws`` with each branch evaluated under its own mask on
+    broadcast copies: the form it had before the whole-array formula."""
+    mean = np.asarray(mean, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    shape = np.broadcast_shapes(mean.shape, lower.shape, upper.shape)
+    if size is not None:
+        shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)) if not isinstance(size, tuple) else size)
+    a = np.broadcast_to(lower - mean, shape).copy()
+    b = np.broadcast_to(upper - mean, shape).copy()
+    u = rng.uniform(size=shape)
+    out = np.empty(shape)
+    right = a >= _TAIL_SPLIT
+    left = b <= -_TAIL_SPLIT
+    mid = ~(right | left)
+    if np.any(mid):
+        fa = special.ndtr(a[mid])
+        fb = special.ndtr(b[mid])
+        p = fa + (1.0 - u[mid]) * (fb - fa)
+        out[mid] = special.ndtri(np.minimum(p, _LARGEST_P_BELOW_1))
+    if np.any(right):
+        out[right] = _upper_tail_draw(a[right], b[right], u[right])
+    if np.any(left):
+        out[left] = -_upper_tail_draw(-b[left], -a[left], u[left])
+    return out + np.broadcast_to(mean, shape)
+
+
+def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, debug=False,
+                           mh_step=0.0):
+    """The probit sweep loop in its earlier form, for bit-for-bit checks.
+
+    Two full ``loglik`` passes per ordinal sweep (the proposal, and the
+    refresh after the coefficient draw), ``X @ beta`` recomputed for the
+    latent draw, ``cho_solve`` and ``solve_triangular`` for the coefficient
+    block, and ``trunc_norm_draws_masked``. Returns a ``ChainDraws``.
+    """
+    prior = prior or bayes.PriorSpec()
+    rng, seed = bayes._resolve_rng(rng)
+    k = data.X.shape[1]
+    b0, B0 = prior.resolved(k)
+    P0 = linalg.cho_solve(linalg.cho_factor(B0), np.eye(k))
+    L = np.linalg.cholesky(P0 + data.X.T @ data.X)
+    P0b0 = P0 @ b0
+    spec = lk.ModelSpec(family=lk.FAMILY_ORDINAL, link=Link.PROBIT, J=data.J, k=k,
+                        intercept=bool(data.n) and np.all(data.X[:, 0] == 1.0))
+    try:
+        start = lk.initial_params(spec, data)
+        beta, delta = start.beta, start.delta
+    except ValueError:
+        beta, delta = np.zeros(k), np.zeros(data.J - 2)
+
+    m_free = data.J - 2
+    beta_draws = np.empty((S, k))
+    delta_draws = np.empty((S, m_free))
+    accepted = 0
+    half_prec = 0.5 / prior.delta_var
+    if m_free:
+        cur_ll = lk.loglik(spec, lk.ParamVector(beta, delta), data)
+        cur_prior = -half_prec * float(delta @ delta)
+    lower, upper = bayes._latent_bounds(delta, data.y, debug)
+    z = np.zeros(0)
+    for s in range(S):
+        if m_free:
+            proposal = delta + mh_step * rng.standard_normal(m_free)
+            prop_ll = lk.loglik(spec, lk.ParamVector(beta, proposal), data)
+            prop_prior = -half_prec * float(proposal @ proposal)
+            log_ratio = (prop_ll + prop_prior) - (cur_ll + cur_prior)
+            if rng.uniform() < math.exp(min(0.0, log_ratio)):
+                delta = proposal
+                cur_ll, cur_prior = prop_ll, prop_prior
+                accepted += 1
+                lower, upper = bayes._latent_bounds(delta, data.y, debug)
+        if data.n:
+            z = trunc_norm_draws_masked(data.X @ beta, lower, upper, rng)
+        mean = linalg.cho_solve((L, True), P0b0 + data.X.T @ z)
+        beta = mean + linalg.solve_triangular(L.T, rng.standard_normal(k), lower=False)
+        if m_free:
+            cur_ll = lk.loglik(spec, lk.ParamVector(beta, delta), data)
+        beta_draws[s] = beta
+        delta_draws[s] = delta
+    return bayes.ChainDraws(
+        beta=beta_draws, delta=delta_draws,
+        param_names=list(data.column_names) + bayes._delta_names(data.J),
+        burn=burn, accept_rate=accepted / S if m_free else None, seed=seed,
+        latent_z=z if z.size else None,
+    )

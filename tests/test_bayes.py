@@ -18,6 +18,9 @@ from discretefit import (
     posterior_summary,
     simulate_dataset,
 )
+from discretefit import likelihood as lk
+
+from oracles import gibbs_probit_reference
 
 
 def _empty_binary(k=2):
@@ -216,3 +219,139 @@ class TestChainSerialization:
             rows = np.array([[float(v) for v in row] for row in reader])
         assert header == chain.param_names
         np.testing.assert_array_equal(rows, chain.draws(include_burn=True))
+
+
+def _probit_instance(J, n, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec("ordinal" if J > 2 else "binary", Link.PROBIT, J=J, k=3, intercept=True)
+    cuts = list(np.linspace(0.6, 1.2, J - 2))
+    return simulate_dataset(spec, [0.3, -0.8, 0.4], list(np.cumsum(cuts)), n, rng)
+
+
+def _sample(data, **kwargs):
+    if data.J == 2:
+        return gibbs_binary_probit(data, **kwargs)
+    return gibbs_ordinal_probit(data, mh_step=0.15, **kwargs)
+
+
+def _assert_same_chain(got, want):
+    assert np.array_equal(got.beta, want.beta)
+    assert np.array_equal(got.delta, want.delta)
+    assert got.accept_rate == want.accept_rate
+    if want.latent_z is None:
+        assert got.latent_z is None
+    else:
+        assert np.array_equal(got.latent_z, want.latent_z)
+
+
+class TestSweepMatchesReference:
+    """The sweep reproduces the earlier loop (full likelihood passes, scipy
+    solve wrappers, masked truncated-normal draws) bit for bit."""
+
+    @pytest.mark.parametrize("debug", [False, True])
+    @pytest.mark.parametrize("J", [2, 3, 4, 5])
+    def test_same_draws(self, J, debug):
+        data = _probit_instance(J, 400, seed=940 + J)
+        got = _sample(data, S=150, burn=10, rng=41, debug=debug)
+        want = gibbs_probit_reference(data, S=150, burn=10, rng=41, debug=debug,
+                                      mh_step=0.15 if J > 2 else 0.0)
+        _assert_same_chain(got, want)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_same_draws_without_data(self, J):
+        empty = Dataset(y=np.zeros(0, dtype=int), X=np.zeros((0, 2)),
+                        column_names=["b0", "b1"], J=J)
+        got = _sample(empty, S=120, burn=0, rng=42)
+        want = gibbs_probit_reference(empty, S=120, burn=0, rng=42,
+                                      mh_step=0.15 if J > 2 else 0.0)
+        _assert_same_chain(got, want)
+
+    @pytest.mark.parametrize("J", [2, 4])
+    def test_same_draws_under_informative_prior(self, J):
+        data = _probit_instance(J, 300, seed=950 + J)
+        prior = PriorSpec(b0=np.array([0.5, -0.5, 0.0]), B0=np.diag([0.5, 2.0, 1.0]),
+                          delta_var=2.0)
+        got = _sample(data, prior=prior, S=150, burn=10, rng=43)
+        want = gibbs_probit_reference(data, prior=prior, S=150, burn=10, rng=43,
+                                      mh_step=0.15 if J > 2 else 0.0)
+        _assert_same_chain(got, want)
+
+
+@pytest.fixture
+def log_cdf_elements(monkeypatch):
+    """Counts the elements that ``Link.log_cdf`` evaluates."""
+    counter = {"elements": 0}
+    original = Link.log_cdf
+
+    def counting(self, w):
+        counter["elements"] += int(np.size(w))
+        return original(self, w)
+
+    monkeypatch.setattr(Link, "log_cdf", counting)
+    return counter
+
+
+class TestSweepWorkCounts:
+    @pytest.mark.parametrize("J", [3, 5])
+    def test_ordinal_sweep_evaluates_only_what_moves(self, J, log_cdf_elements):
+        data = _probit_instance(J, 500, seed=960 + J)
+        n = data.n
+        n_moved = int(np.sum(data.y >= 2))
+        n_interior = int(np.sum((data.y > 1) & (data.y < J)))
+        counts = []
+        for S in (2, 5):
+            log_cdf_elements["elements"] = 0
+            gibbs_ordinal_probit(data, S=S, burn=1, mh_step=0.1, rng=44)
+            counts.append(log_cdf_elements["elements"])
+        # the starting pass is n + n_interior; each sweep adds the proposal's
+        # moved rows and the refresh pass at the new beta
+        per_sweep = n + n_moved + 2 * n_interior
+        assert counts[0] == n + n_interior + 2 * per_sweep
+        assert counts[1] - counts[0] == 3 * per_sweep
+        assert per_sweep < 4 * n
+
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_binary_pass_takes_one_log_cdf_per_row(self, link, log_cdf_elements):
+        rng = np.random.default_rng(970)
+        spec = ModelSpec("binary", link, J=2, k=2, intercept=True)
+        data = simulate_dataset(spec, [0.2, -0.6], [], 700, rng)
+        lk._loglik_pass(spec, lk.ParamVector([0.1, -0.4]), data)
+        assert log_cdf_elements["elements"] == data.n
+
+    def test_binary_chain_makes_no_interval_pass(self, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("binary chain evaluated interval log-probabilities")
+
+        data = _probit_instance(2, 300, seed=971)
+        monkeypatch.setattr(lk, "_interval_logprob", no_pass)
+        chain = gibbs_binary_probit(data, S=60, burn=10, rng=45)
+        assert chain.accept_rate is None
+
+
+class TestNonFiniteSettingsRefused:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_delta_var(self, value):
+        data = _probit_instance(3, 300, seed=980)
+        with pytest.raises(ValueError, match="delta_var"):
+            gibbs_ordinal_probit(data, prior=PriorSpec(delta_var=value), S=50, burn=0, rng=46)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_b0(self, value, J):
+        data = _probit_instance(J, 300, seed=981)
+        prior = PriorSpec(b0=np.array([0.0, value, 0.0]))
+        with pytest.raises(ValueError, match="b0"):
+            _sample(data, prior=prior, S=50, burn=0, rng=47)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_B0(self, value):
+        B0 = np.eye(3)
+        B0[1, 1] = value
+        with pytest.raises(ValueError, match="B0"):
+            PriorSpec(B0=B0).resolved(3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_mh_step(self, value):
+        data = _probit_instance(3, 300, seed=982)
+        with pytest.raises(ValueError, match="mh_step"):
+            gibbs_ordinal_probit(data, S=50, burn=0, mh_step=value, rng=48)

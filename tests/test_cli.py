@@ -313,6 +313,18 @@ class TestBayes:
         assert rc == 1
         assert "mh_step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_nonfinite_mh_step_is_input_error(self, sim_files, tmp_path, capsys, step):
+        data_path, schema_path = sim_files
+        rc = run([
+            "bayes", "--data", data_path, "--schema", schema_path,
+            "--family", "ordinal", "--draws", "200", "--burn", "50",
+            f"--mh-step={step}", "--out", tmp_path / "ch",
+        ])
+        assert rc == 1
+        assert f"mh_step must be positive and finite, got {step}" in capsys.readouterr().err
+        assert not (tmp_path / "ch.csv").exists()
+
 
 class TestFailFast:
     """Faults found without the data are reported before it is parsed or

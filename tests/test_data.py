@@ -369,7 +369,7 @@ class TestBuildDataset:
         data = simulate_dataset(spec, [0.2, -0.4, 0.6], [0.8], 200, rng)
         path = tmp_path / "idempotent.csv"
         dataset_to_csv(path, data)
-        table = parse_csv(open(path, "rb").read())
+        table = parse_csv(path.read_bytes())
         rebuilt, report = build_dataset(table, identity_schema(data))
         assert report.n_dropped == 0
         np.testing.assert_array_equal(rebuilt.y, data.y)
@@ -377,7 +377,7 @@ class TestBuildDataset:
         assert rebuilt.column_names == data.column_names
         # a second application is a no-op again
         dataset_to_csv(path, rebuilt)
-        table2 = parse_csv(open(path, "rb").read())
+        table2 = parse_csv(path.read_bytes())
         rebuilt2, _ = build_dataset(table2, identity_schema(rebuilt))
         np.testing.assert_array_equal(rebuilt2.X, rebuilt.X)
 

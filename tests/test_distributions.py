@@ -26,6 +26,7 @@ from oracles import (
     norm_cdf_float_oracle,
     norm_cdf_oracle,
     norm_log_tail_oracle,
+    trunc_norm_draws_masked,
     ulp_distance,
 )
 
@@ -355,3 +356,48 @@ class TestTruncNormSample:
             trunc_norm_sample(0.0, 2.0, -2.0, rng)
         with pytest.raises(ValueError):
             trunc_norm_sample(np.nan, 0.0, 1.0, rng)
+
+
+class TestTruncNormMatchesMaskedForm:
+    """The whole-array draw reproduces the masked per-branch draw bit for bit
+    and consumes the same uniforms."""
+
+    @staticmethod
+    def _both(mean, lower, upper, size=None, seed=120):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = trunc_norm_draws(mean, lower, upper, rng_new, size=size)
+        want = trunc_norm_draws_masked(mean, lower, upper, rng_ref, size=size)
+        assert rng_new.uniform() == rng_ref.uniform()  # same stream position
+        return got, want
+
+    def test_one_dimensional_mix_of_tails(self):
+        rng = np.random.default_rng(121)
+        n = 3000
+        mean = rng.uniform(-12.0, 12.0, n)
+        lower = mean + rng.uniform(-15.0, 10.0, n)
+        upper = lower + 10.0 ** rng.uniform(-3.0, 1.5, n)
+        lower[::7] = -np.inf
+        upper[::5] = np.inf
+        a, b = lower - mean, upper - mean
+        # every branch occurs, and so do both outer intervals
+        assert np.any(a >= 6.0) and np.any(b <= -6.0) and np.any((a < 6.0) & (b > -6.0))
+        got, want = self._both(mean, lower, upper)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("lower,upper", [(-np.inf, -8.0), (-1.0, 2.0), (7.0, np.inf),
+                                             (-np.inf, np.inf), (6.0, 6.5), (-6.5, -6.0)])
+    @pytest.mark.parametrize("size", [None, ()])
+    def test_zero_dimensional(self, lower, upper, size):
+        got, want = self._both(0.0, lower, upper, size=size)
+        assert np.ndim(got) == 0
+        assert got == want
+
+    @pytest.mark.parametrize("size", [None, (3, 5, 4)])
+    def test_broadcast_shapes(self, size):
+        mean = np.linspace(-9.0, 9.0, 5)[:, None]
+        lower = np.array([-np.inf, -10.0, -2.0, 3.0])
+        upper = np.array([-7.0, -4.0, 8.0, np.inf])
+        got, want = self._both(mean, lower[None, :], upper, size=size)
+        assert got.shape == (want.shape if size is None else size)
+        np.testing.assert_array_equal(got, want)

@@ -300,6 +300,16 @@ class TestFusedKernel:
         assert n_clamped == int(np.sum(want < -745.0))
         np.testing.assert_array_equal(got, np.maximum(want, -745.0))
 
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_zero_dimensional_bounds_match_arrays(self, link):
+        a = np.array([-np.inf, -np.inf, -3.0, 0.5, 30.0, -30.0])
+        b = np.array([-2.0, np.inf, np.inf, 0.75, 30.5, -29.5])
+        want, _ = _interval_logprob(link, a, b)
+        for i in range(a.size):
+            got, n_clamped = _interval_logprob(link, a[i], b[i])
+            assert np.ndim(got) == 0 and n_clamped == 0
+            assert got == want[i]
+
     @pytest.mark.parametrize("family,J", [("binary", 2), ("ordinal", 3), ("ordinal", 5)])
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_evaluate_orders_agree_with_public_kernels(self, family, J, link):
