@@ -28,7 +28,6 @@ from .distributions import (
     norm_inv_cdf,
     norm_pdf,
     trunc_norm_draws,
-    trunc_norm_sample,
 )
 from .effects import (
     ColumnKindError,
@@ -72,7 +71,7 @@ __all__ = [
     "EncodingReport", "ParseError", "RawTable", "SchemaConfig", "SchemaError",
     "build_dataset", "parse_csv", "read_csv", "simulate_dataset", "Link",
     "logistic_cdf", "logistic_pdf", "norm_cdf", "norm_inv_cdf", "norm_pdf",
-    "trunc_norm_draws", "trunc_norm_sample", "ColumnKindError",
+    "trunc_norm_draws", "ColumnKindError",
     "CovariateEffect", "EffectsTable", "UnsupportedLinkError", "ce_continuous",
     "ce_indicator", "cumulative_odds", "effects_table", "odds_ratio_logit",
     "EstimationError", "FitOptions", "FitResult", "SeparationError",

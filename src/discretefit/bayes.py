@@ -38,6 +38,11 @@ from .data import Dataset
 from .distributions import Link, trunc_norm_draws
 from .likelihood import FAMILY_ORDINAL, ModelSpec
 
+# chain length (burn-in included), burn-in, and the cut-point random-walk scale
+DEFAULT_DRAWS = 11000
+DEFAULT_BURN = 1000
+DEFAULT_MH_STEP = 0.1
+
 
 @dataclass
 class PriorSpec:
@@ -158,7 +163,7 @@ def _delta_names(J: int) -> list[str]:
 
 
 def gibbs_binary_probit(data: Dataset, prior: PriorSpec | None = None,
-                        S: int = 11000, burn: int = 1000, rng=0,
+                        S: int = DEFAULT_DRAWS, burn: int = DEFAULT_BURN, rng=0,
                         debug: bool = False) -> ChainDraws:
     """Data-augmentation Gibbs sampler for the binary probit model.
 
@@ -171,7 +176,8 @@ def gibbs_binary_probit(data: Dataset, prior: PriorSpec | None = None,
 
 
 def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
-                         S: int = 11000, burn: int = 1000, mh_step: float = 0.1,
+                         S: int = DEFAULT_DRAWS, burn: int = DEFAULT_BURN,
+                         mh_step: float = DEFAULT_MH_STEP,
                          rng=0, debug: bool = False) -> ChainDraws:
     """Gibbs sampler for the ordinal probit with an MH block on the cut-points.
 

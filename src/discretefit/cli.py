@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,14 +45,14 @@ class RunConfig:
     link: str = "probit"
     out: Path | None = None
     seed: int = DEFAULT_SEED
-    max_iter: int = 100
-    tol: float = 1e-8
+    max_iter: int = FitOptions.max_iter
+    tol: float = FitOptions.grad_tol
     scales: dict[str, float] = field(default_factory=dict)
     pfilter: float | None = None
     columns: list[str] | None = None
-    draws: int = 11000
-    burn: int = 1000
-    mh_step: float = 0.1
+    draws: int = bayes.DEFAULT_DRAWS
+    burn: int = bayes.DEFAULT_BURN
+    mh_step: float = bayes.DEFAULT_MH_STEP
     beta: list[float] = field(default_factory=list)
     cutpoints: list[float] = field(default_factory=list)
     n: int = 1000
@@ -78,9 +79,12 @@ def _parse_scales(pairs: list[str]) -> dict[str, float]:
             raise InputError(f"--scale expects <column>=<multiplier>, got {pair!r}")
         name, mult = pair.split("=", 1)
         try:
-            scales[name.strip()] = float(mult)
+            value = float(mult)
         except ValueError:
             raise InputError(f"--scale multiplier must be numeric, got {pair!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"--scale multiplier must be finite, got {pair!r}")
+        scales[name.strip()] = value
     return scales
 
 
@@ -102,17 +106,14 @@ def _load_dataset(config: RunConfig):
     return dataset, schema, report
 
 
-def _model_spec(config: RunConfig, dataset) -> likelihood.ModelSpec:
-    return likelihood.ModelSpec.for_dataset(
-        family=config.family_for(dataset.J), link=config.link, data=dataset,
-        intercept="intercept" in dataset.column_names,
-    )
-
-
 def _fit(config: RunConfig):
-    dataset, schema, report = _load_dataset(config)
-    spec = _model_spec(config, dataset)
+    # a bad setting fails before the data is read
     opts = FitOptions(max_iter=config.max_iter, grad_tol=config.tol)
+    dataset, schema, report = _load_dataset(config)
+    spec = likelihood.ModelSpec(
+        family=config.family_for(dataset.J), link=config.link, J=dataset.J,
+        k=dataset.X.shape[1], intercept="intercept" in dataset.column_names,
+    )
     fit = estimation.fit_ml(spec, dataset, opts)
     return dataset, schema, report, fit
 
@@ -142,6 +143,8 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def cmd_effects(config: RunConfig) -> int:
+    if config.pfilter is not None and not 0.0 < config.pfilter <= 1.0:
+        raise InputError(f"--pfilter must lie in (0, 1], got {config.pfilter}")
     dataset, schema, report, fit = _fit(config)
     column_indices = None
     if config.columns:

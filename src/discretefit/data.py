@@ -498,7 +498,11 @@ def write_csv(path, columns: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def dataset_to_csv(path, data: Dataset, response_column: str = "y") -> None:
+# the response column that dataset_to_csv writes and identity_schema reads
+_RESPONSE_COLUMN = "y"
+
+
+def dataset_to_csv(path, data: Dataset) -> None:
     """Serialize a Dataset back to CSV, skipping any intercept column.
 
     Floats are written with ``repr`` so a parse -> build round trip
@@ -506,7 +510,7 @@ def dataset_to_csv(path, data: Dataset, response_column: str = "y") -> None:
     """
     skip = [i for i, name in enumerate(data.column_names) if name == "intercept"]
     keep = [i for i in range(data.X.shape[1]) if i not in skip]
-    columns = [response_column] + [data.column_names[i] for i in keep]
+    columns = [_RESPONSE_COLUMN] + [data.column_names[i] for i in keep]
     rows = (
         [str(int(data.y[r]))] + [repr(float(data.X[r, c])) for c in keep]
         for r in range(data.n)
@@ -514,7 +518,7 @@ def dataset_to_csv(path, data: Dataset, response_column: str = "y") -> None:
     write_csv(path, columns, rows)
 
 
-def identity_schema(data: Dataset, response_column: str = "y") -> SchemaConfig:
+def identity_schema(data: Dataset) -> SchemaConfig:
     """Schema that re-ingests ``dataset_to_csv`` output unchanged."""
     covs = [
         Covariate(name, KIND_CONTINUOUS)
@@ -522,7 +526,7 @@ def identity_schema(data: Dataset, response_column: str = "y") -> SchemaConfig:
         if name != "intercept"
     ]
     return SchemaConfig(
-        response=response_column,
+        response=_RESPONSE_COLUMN,
         labels=[str(j) for j in range(1, data.J + 1)],
         missing=[],
         covariates=covs,

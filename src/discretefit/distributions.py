@@ -31,17 +31,18 @@ _LARGEST_P_BELOW_1 = np.nextafter(1.0, 0.0)
 _LOG_FLOOR = -745.0
 
 
-def _as_validated_array(w, name: str = "w") -> np.ndarray:
-    arr = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {w!r}")
-    return arr
-
-
 def _scalar_like(value: np.ndarray, reference) -> float | np.ndarray:
     if np.isscalar(reference) or np.ndim(reference) == 0:
         return float(value)
     return value
+
+
+def _finite_kernel(kernel, w):
+    """``kernel`` at w, refusing a non-finite input; a scalar w gives a float."""
+    arr = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"w must be finite, got {w!r}")
+    return _scalar_like(kernel(arr), w)
 
 
 class Link(str, enum.Enum):
@@ -65,7 +66,11 @@ class Link(str, enum.Enum):
         if self is Link.PROBIT:
             with np.errstate(over="ignore"):
                 return _INV_SQRT_2PI * np.exp(-0.5 * w * w)
-        return _logistic_pdf_raw(w)
+        # cdf(w) * cdf(-w) as (1/d) * (e/d), d = 1 + e: for either sign of w
+        # the two factors are the sign-split cdf values, with no cancellation
+        e = _exp_neg_abs(w)
+        d = 1.0 + e
+        return (1.0 / d) * (e / d)
 
     def log_cdf(self, w):
         w = np.asarray(w, dtype=float)
@@ -144,39 +149,24 @@ def _logistic_cdf_raw(w: np.ndarray) -> np.ndarray:
     return _logistic_cdf(w, _exp_neg_abs(w))
 
 
-def _logistic_pdf_raw(w: np.ndarray) -> np.ndarray:
-    """Logistic density cdf(w) * cdf(-w), as (1/d) * (e/d) with d = 1 + e.
-
-    For either sign of w the two factors are exactly the two sign-split cdf
-    values, so the product has their bits and no cancellation.
-    """
-    e = _exp_neg_abs(w)
-    d = 1.0 + e
-    return (1.0 / d) * (e / d)
-
-
 def norm_cdf(w):
     """Standard normal cdf Phi(w). Input must be finite."""
-    arr = _as_validated_array(w)
-    return _scalar_like(special.ndtr(arr), w)
+    return _finite_kernel(Link.PROBIT.cdf, w)
 
 
 def norm_pdf(w):
     """Standard normal density phi(w). Input must be finite."""
-    arr = _as_validated_array(w)
-    return _scalar_like(_INV_SQRT_2PI * np.exp(-0.5 * arr * arr), w)
+    return _finite_kernel(Link.PROBIT.pdf, w)
 
 
 def logistic_cdf(w):
     """Logistic cdf exp(w)/(1+exp(w)), computed without overflow."""
-    arr = _as_validated_array(w)
-    return _scalar_like(_logistic_cdf_raw(arr), w)
+    return _finite_kernel(Link.LOGIT.cdf, w)
 
 
 def logistic_pdf(w):
     """Logistic density cdf(w)*cdf(-w), free of cancellation."""
-    arr = _as_validated_array(w)
-    return _scalar_like(_logistic_pdf_raw(arr), w)
+    return _finite_kernel(Link.LOGIT.pdf, w)
 
 
 def norm_inv_cdf(p):
@@ -235,16 +225,3 @@ def trunc_norm_draws(mean, lower, upper, rng: np.random.Generator, size=None):
         out[left] = -_upper_tail_draw(-b[left], -a[left], u[left])
 
     return out + mean
-
-
-def trunc_norm_sample(mean: float, lower: float, upper: float, rng: np.random.Generator) -> float:
-    """One draw from a unit-variance normal at ``mean`` truncated to (lower, upper].
-
-    ``lower``/``upper`` may be -inf/+inf. Raises ValueError when the interval
-    is empty or the mean is not finite.
-    """
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean!r}")
-    if not lower < upper:
-        raise ValueError(f"require lower < upper, got ({lower!r}, {upper!r})")
-    return float(trunc_norm_draws(mean, lower, upper, rng, size=()))

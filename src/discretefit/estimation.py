@@ -10,7 +10,8 @@ times) until the log-likelihood improves. A full step that loses no more
 than a few ulps of |loglik| is also accepted, since near the optimum its
 gain can be smaller than the rounding of the n-term sum. The accepted
 iterate sequence is therefore monotone up to that rounding, and the whole
-fit is deterministic.
+fit is deterministic. ``FitOptions`` sets the iteration cap and the gradient
+tolerance; the other settings are the module constants below.
 
 The intercept-only log-likelihood behind the LR test and McFadden's R2 has
 the closed form sum_j n_j log(n_j / n), because the intercept-only model
@@ -38,6 +39,13 @@ from .likelihood import ModelSpec, ParamVector
 
 # a full Newton step may lose this many ulps of |loglik| and still be taken
 _FULL_STEP_SLACK_ULPS = 8
+# the fit stops once a step moves no parameter by more than this
+_STEP_TOL = 1e-10
+# the first ridge tried on a -H that does not factor, and its growth factor
+_RIDGE_INIT = 1e-6
+_RIDGE_FACTOR = 10.0
+# halvings of a Newton step before the line search gives up
+_MAX_HALVINGS = 30
 
 
 class EstimationError(Exception):
@@ -50,19 +58,16 @@ class SeparationError(EstimationError):
 
 @dataclass
 class FitOptions:
+    """The iteration cap of the Newton fit, and the max |gradient| that ends it."""
+
     max_iter: int = 100
     grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    ridge_init: float = 1e-6
-    ridge_factor: float = 10.0
-    max_halvings: int = 30
-    verbose: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if min(self.grad_tol, self.step_tol, self.ridge_init) <= 0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 @dataclass
@@ -89,32 +94,27 @@ class FitResult:
         return self.params.cutpoints()
 
 
-def _neg_hessian_cholesky(H: np.ndarray):
+def _neg_hessian_cholesky(H: np.ndarray, tau: float = 0.0):
+    """Cholesky factor of -H + tau I, or None when that is not positive definite."""
+    neg_H = -H
+    neg_H.flat[::H.shape[0] + 1] += tau
     try:
-        return linalg.cho_factor(-H, lower=True)
+        return linalg.cho_factor(neg_H, lower=True)
     except linalg.LinAlgError:
         return None
 
 
-def _ridged_direction(H: np.ndarray, grad: np.ndarray, opts: FitOptions) -> np.ndarray | None:
+def _ridged_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
     """Solve (-H + tau I) s = grad with the smallest ridge tau that factors."""
-    m = grad.size
-    eye = np.eye(m)
     tau = 0.0
     for _ in range(40):
-        try:
-            factor = linalg.cho_factor(-H + tau * eye, lower=True)
+        factor = _neg_hessian_cholesky(H, tau)
+        if factor is not None:
             step = linalg.cho_solve(factor, grad)
             if np.all(np.isfinite(step)):
                 return step
-        except linalg.LinAlgError:
-            pass
-        tau = opts.ridge_init if tau == 0.0 else tau * opts.ridge_factor
+        tau = _RIDGE_INIT if tau == 0.0 else tau * _RIDGE_FACTOR
     return None
-
-
-def _column_name(data: Dataset, j: int) -> str:
-    return data.column_names[j] if j < len(data.column_names) else f"beta[{j}]"
 
 
 def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> None:
@@ -131,12 +131,13 @@ def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> None:
     nonzero = np.any(data.X != 0.0, axis=0)
     if not np.all(nonzero):
         raise EstimationError(
-            f"design column {_column_name(data, int(np.argmin(nonzero)))!r} is zero in every "
+            f"design column {data.column_names[int(np.argmin(nonzero))]!r} is zero in every "
             "observation; its coefficient cannot be estimated"
         )
 
 
 def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
+    """Newton ascent; the last iterate comes with H and the factor of -H."""
     theta = lk.initial_params(spec, data).flat
     k = spec.k
 
@@ -154,7 +155,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
             converged = True
             break
 
-        direction = _ridged_direction(H, grad, opts)
+        direction = _ridged_direction(H, grad)
         if direction is None:
             break
         # near the optimum a full Newton step may move the log-likelihood by
@@ -165,7 +166,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
         # state then yields the derivatives of the new iterate
         accepted = None
         alpha = 1.0
-        for halving in range(opts.max_halvings + 1):
+        for halving in range(_MAX_HALVINGS + 1):
             cand = theta + alpha * direction
             cand_ll, cand_clamps, state = loglik_pass(cand)
             acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - slack)
@@ -182,29 +183,27 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
         ll, clamps = cand_ll, cand_clamps
         grad, H = lk._derivative_pass(spec, data, state, 2)
         history.append(ll)
-        if opts.verbose:
-            print(f"iter {it:3d}  loglik {ll:.8f}  |grad| {np.max(np.abs(grad)):.3e}")
 
         beta_max = float(np.max(np.abs(theta[:k])))
         if beta_max > 30.0:
-            name = _column_name(data, int(np.argmax(np.abs(theta[:k]))))
+            name = data.column_names[int(np.argmax(np.abs(theta[:k])))]
             raise SeparationError(
                 f"coefficient for {name!r} diverged past |30| while the log-likelihood is still "
                 "improving; the data appear to be perfectly separated"
             )
-        if step_norm < opts.step_tol:
+        if step_norm < _STEP_TOL:
             break
 
     if not converged:
         converged = bool(np.max(np.abs(grad)) < opts.grad_tol)
-    if converged and _neg_hessian_cholesky(H) is None:
-        converged = False
-    return theta, ll, grad, H, clamps, iterations, bool(converged), history
-
-
-def _report_space_vcov(spec: ModelSpec, params: ParamVector, H: np.ndarray) -> np.ndarray:
-    """Inverse observed information, mapped to (beta, cut-point) coordinates."""
     factor = _neg_hessian_cholesky(H)
+    converged = converged and factor is not None
+    return theta, ll, H, factor, clamps, iterations, converged, history
+
+
+def _report_space_vcov(spec: ModelSpec, params: ParamVector, H: np.ndarray,
+                       factor) -> np.ndarray:
+    """Inverse observed information, mapped to (beta, cut-point) coordinates."""
     if factor is not None:
         vcov_flat = linalg.cho_solve(factor, np.eye(H.shape[0]))
     else:
@@ -229,9 +228,9 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
     opts = opts or FitOptions()
     _validate_fit_inputs(spec, data)
 
-    theta, ll, grad, H, clamps, iterations, converged, history = _maximize(spec, data, opts)
+    theta, ll, H, factor, clamps, iterations, converged, history = _maximize(spec, data, opts)
     params = ParamVector.from_flat(theta, spec.k)
-    vcov = _report_space_vcov(spec, params, H)
+    vcov = _report_space_vcov(spec, params, H, factor)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
 
     if spec.intercept and spec.k == 1:

@@ -73,10 +73,6 @@ class ModelSpec:
     def n_params(self) -> int:
         return self.k + self.J - 2
 
-    @classmethod
-    def for_dataset(cls, family: str, link, data: Dataset, intercept: bool = True) -> "ModelSpec":
-        return cls(family=family, link=Link(link), J=data.J, k=data.X.shape[1], intercept=intercept)
-
 
 @dataclass
 class ParamVector:

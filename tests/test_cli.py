@@ -243,6 +243,49 @@ class TestEffects:
         assert rc == 1
         assert "zzz" in capsys.readouterr().err
 
+    def test_columns_limits_the_table(self, sim_files, tmp_path):
+        data_path, schema_path = sim_files
+        rc = run([
+            "effects", "--data", data_path, "--schema", schema_path,
+            "--columns", "x2", "--pfilter", "1", "--out", tmp_path / "eff",
+        ])
+        assert rc == 0
+        payload = json.loads((tmp_path / "eff.json").read_text())
+        assert [row["name"] for row in payload["effects"]] == ["x2"]
+
+    def test_unknown_column_is_input_error(self, sim_files, tmp_path, capsys):
+        data_path, schema_path = sim_files
+        rc = run([
+            "effects", "--data", data_path, "--schema", schema_path,
+            "--columns", "x1,zzz", "--out", tmp_path / "eff",
+        ])
+        assert rc == 1
+        assert "unknown covariate 'zzz'" in capsys.readouterr().err
+        assert not (tmp_path / "eff.json").exists()
+
+    @pytest.mark.parametrize("mult", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_is_input_error(self, sim_files, tmp_path, capsys, mult):
+        data_path, schema_path = sim_files
+        rc = run([
+            "effects", "--data", data_path, "--schema", schema_path,
+            "--scale", f"x1={mult}", "--out", tmp_path / "eff",
+        ])
+        assert rc == 1
+        assert f"--scale multiplier must be finite, got 'x1={mult}'" in capsys.readouterr().err
+        assert not (tmp_path / "eff.json").exists()
+
+    @pytest.mark.parametrize("level", ["nan", "0", "-0.1", "1.5", "inf"])
+    def test_pfilter_outside_unit_interval_is_input_error(self, sim_files, tmp_path, capsys,
+                                                          level):
+        data_path, schema_path = sim_files
+        rc = run([
+            "effects", "--data", data_path, "--schema", schema_path,
+            "--pfilter", level, "--out", tmp_path / "eff",
+        ])
+        assert rc == 1
+        assert "--pfilter must lie in (0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "eff.json").exists()
+
 
 class TestBayes:
     def test_end_to_end_ordinal(self, sim_files, tmp_path):
@@ -355,6 +398,25 @@ class TestFailFast:
         assert rc == 1
         assert "schema line 1: expected 'key = value'" in capsys.readouterr().err
         assert not (tmp_path / "rep.txt").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "effects"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5"])
+    def test_bad_tolerance_reported_before_parsing(self, sim_files, tmp_path, capsys,
+                                                   no_parse, command, tol):
+        data_path, schema_path = sim_files
+        rc = run([command, "--data", data_path, "--schema", schema_path,
+                  "--tol", tol, "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert "grad_tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "rep.txt").exists()
+
+    def test_iteration_cap_below_one_reported_before_parsing(self, sim_files, tmp_path, capsys,
+                                                             no_parse):
+        data_path, schema_path = sim_files
+        rc = run(["fit", "--data", data_path, "--schema", schema_path,
+                  "--max-iter", "0", "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert "max_iter must be at least 1, got 0" in capsys.readouterr().err
 
     def test_missing_data_reported_first(self, tmp_path, capsys, no_parse):
         rc = run(["fit", "--data", tmp_path / "absent.csv", "--schema", tmp_path / "absent.schema"])

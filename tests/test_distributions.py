@@ -15,7 +15,6 @@ from discretefit import (
     norm_inv_cdf,
     norm_pdf,
     trunc_norm_draws,
-    trunc_norm_sample,
 )
 from discretefit.distributions import _logistic_cdf_raw, logistic_log_pdf_cdf
 
@@ -316,7 +315,7 @@ class TestTruncNormSample:
 
     def test_far_tail_is_robust(self):
         rng = np.random.default_rng(103)
-        draws = np.array([trunc_norm_sample(2.0, 10.0, np.inf, rng) for _ in range(2000)])
+        draws = np.array([trunc_norm_draws(2.0, 10.0, np.inf, rng, size=()) for _ in range(2000)])
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 10.0)
         # conditional mean from the log-space tail oracle: 2 + phi(8)/Phi(-8)
@@ -344,18 +343,18 @@ class TestTruncNormSample:
         a = trunc_norm_draws(0.5, 0.0, 3.0, np.random.default_rng(7), size=50)
         b = trunc_norm_draws(0.5, 0.0, 3.0, np.random.default_rng(7), size=50)
         assert np.array_equal(a, b)
-        s1 = trunc_norm_sample(0.0, -1.0, 1.0, np.random.default_rng(8))
-        s2 = trunc_norm_sample(0.0, -1.0, 1.0, np.random.default_rng(8))
+        s1 = trunc_norm_draws(0.0, -1.0, 1.0, np.random.default_rng(8), size=())
+        s2 = trunc_norm_draws(0.0, -1.0, 1.0, np.random.default_rng(8), size=())
         assert s1 == s2
 
     def test_empty_interval_rejected(self):
         rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            trunc_norm_sample(0.0, 1.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            trunc_norm_sample(0.0, 2.0, -2.0, rng)
-        with pytest.raises(ValueError):
-            trunc_norm_sample(np.nan, 0.0, 1.0, rng)
+        with pytest.raises(ValueError, match="require lower < upper"):
+            trunc_norm_draws(0.0, 1.0, 1.0, rng, size=())
+        with pytest.raises(ValueError, match="require lower < upper"):
+            trunc_norm_draws(0.0, 2.0, -2.0, rng, size=())
+        with pytest.raises(ValueError, match="mean must be finite"):
+            trunc_norm_draws(np.nan, 0.0, 1.0, rng, size=())
 
 
 class TestTruncNormMatchesMaskedForm:

@@ -1,5 +1,6 @@
 """Tests for the Newton fitter, fit statistics and reporting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from discretefit import (
     simulate_dataset,
     summary_table,
 )
-from discretefit import likelihood as lk
+from discretefit import estimation, likelihood as lk
 from discretefit.estimation import coefficient_rows, fit_report_dict
 
 from oracles import chi2_sf_oracle, norm_cdf_float_oracle
@@ -271,6 +272,93 @@ class TestPassCounts:
         assert len(calls["derivative"]) == fit.iterations + 1
         assert len(calls["first"]) > len(calls["derivative"])
         assert self._derivative_logliks(calls) == fit.history
+
+
+class TestFitOptions:
+    def test_only_the_cap_and_the_tolerance_are_settings(self):
+        assert [f.name for f in dataclasses.fields(FitOptions)] == ["max_iter", "grad_tol"]
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-8])
+    def test_bad_tolerance_refused_by_name(self, tol):
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            FitOptions(grad_tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_iteration_cap_below_one_refused(self, max_iter):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            FitOptions(max_iter=max_iter)
+
+
+class TestNewtonBranches:
+    """The ridge, the line search and the final curvature check, each driven
+    to the branch that a well-posed fit never takes."""
+
+    @staticmethod
+    def _instance():
+        spec = ModelSpec("binary", Link.PROBIT, J=2, k=3, intercept=True)
+        data = simulate_dataset(spec, [0.5, -1.0, 0.25], [], 500, np.random.default_rng(66))
+        return spec, data
+
+    def test_ridge_escalates_until_an_indefinite_hessian_factors(self):
+        H = np.diag([1.0, -2.0])
+        grad = np.array([1.0, 1.0])
+        assert estimation._neg_hessian_cholesky(H) is None
+        step = estimation._ridged_direction(H, grad)
+        # tau runs 0, 1e-6, 1e-5, ..., and 10 is the first that beats -1
+        np.testing.assert_allclose(step, grad / (np.diag(-H) + 10.0), rtol=1e-12)
+
+    def test_ridge_gives_up_on_curvature_it_cannot_cover(self):
+        # the 40th ridge is 1e32, far short of the 1e40 it would need
+        assert estimation._ridged_direction(np.diag([1e40, -1.0]), np.ones(2)) is None
+
+    def test_no_direction_stops_the_fit_unconverged(self, monkeypatch):
+        spec, data = self._instance()
+        derivative = lk._derivative_pass
+
+        def convex(spec, data, state, order):
+            grad, H = derivative(spec, data, state, order)
+            return grad, 1e40 * np.eye(H.shape[0])
+
+        monkeypatch.setattr(lk, "_derivative_pass", convex)
+        fit = fit_ml(spec, data)
+        assert not fit.converged
+        assert fit.iterations == 0
+        assert len(fit.history) == 1
+
+    def test_exhausted_line_search_stops_the_fit_unconverged(self, monkeypatch):
+        spec, data = self._instance()
+        first = lk._loglik_pass
+        calls = []
+
+        def worse_candidates(spec, params, data):
+            ll, clamps, state = first(spec, params, data)
+            calls.append(ll)
+            # every candidate scores below the start, however short the step
+            return min(ll, calls[0] - 1.0) if len(calls) > 1 else ll, clamps, state
+
+        monkeypatch.setattr(lk, "_loglik_pass", worse_candidates)
+        fit = fit_ml(spec, data)
+        assert not fit.converged
+        assert fit.iterations == 0
+        assert fit.history == [calls[0]]
+        assert len(calls) == 1 + estimation._MAX_HALVINGS + 1
+
+    def test_unfactorable_final_hessian_demotes_convergence(self, monkeypatch):
+        spec, data = self._instance()
+        reference = fit_ml(spec, data)
+        assert reference.converged
+        derivative = lk._derivative_pass
+
+        def flipped_at_optimum(spec, data, state, order):
+            grad, H = derivative(spec, data, state, order)
+            small = np.max(np.abs(grad)) < FitOptions.grad_tol
+            return grad, (-H if small else H)
+
+        monkeypatch.setattr(lk, "_derivative_pass", flipped_at_optimum)
+        fit = fit_ml(spec, data)
+        assert not fit.converged
+        assert fit.iterations == reference.iterations
+        assert fit.history == reference.history
 
 
 class TestBinaryOrdinalEquivalence:
