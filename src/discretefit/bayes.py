@@ -92,7 +92,7 @@ class ChainDraws:
         return self.beta.shape[0]
 
     def draws(self, include_burn: bool = False) -> np.ndarray:
-        all_draws = np.hstack([self.beta, self.delta]) if self.delta.size else self.beta
+        all_draws = np.hstack([self.beta, self.delta])
         return all_draws if include_burn else all_draws[self.burn:]
 
     def save_csv(self, path) -> None:
@@ -212,7 +212,7 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     b0, B0 = prior.resolved(k)
     draw_beta = _coef_sampler(X, b0, B0)
     spec = ModelSpec(family=FAMILY_ORDINAL, link=Link.PROBIT, J=data.J, k=k,
-                     intercept=bool(data.n) and np.all(X[:, 0] == 1.0))
+                     intercept=np.all(X[:, :1] == 1.0))
 
     try:
         start = lk.initial_params(spec, data)
@@ -233,7 +233,6 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
         cur_logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
         cur_ll = float(np.sum(cur_logp))
         cur_prior = -half_prec * float(delta @ delta)
-    z = np.zeros(0)
 
     for s in range(S):
         # cut-point block: random-walk MH on the log spacings
@@ -253,10 +252,9 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
                 lower, upper = _latent_bounds(delta, y, debug)
 
         # latent utilities, then the coefficient block
-        if data.n:
-            z = trunc_norm_draws(xb, lower, upper, rng)
-            if debug:
-                assert np.all(lower < z) and np.all(z <= upper)
+        z = trunc_norm_draws(xb, lower, upper, rng)
+        if debug:
+            assert np.all(lower < z) and np.all(z <= upper)
         beta = draw_beta(z, rng)
         xb = X @ beta
         if m_free:

@@ -84,6 +84,8 @@ def _parse_scales(pairs: list[str]) -> dict[str, float]:
             raise InputError(f"--scale multiplier must be numeric, got {pair!r}") from None
         if not math.isfinite(value):
             raise InputError(f"--scale multiplier must be finite, got {pair!r}")
+        if value == 0.0:
+            raise InputError(f"--scale multiplier must be nonzero, got {pair!r}")
         scales[name.strip()] = value
     return scales
 

@@ -6,8 +6,8 @@ UTF-8; a leading byte-order mark is dropped. The table is held column by
 column: each column is one integer code per row plus its distinct cells in
 first-seen order, packed into one string, so a survey of a few answers per
 question costs a few bytes per cell. A schema config then drives the
-encoding, which works once per distinct cell and gathers the results by
-code:
+encoding, which strips, tests and converts each distinct raw cell of a
+used column once and gathers the results by code:
 
 * rows carrying a missing-value token in the response or any used covariate
   are dropped (listwise deletion; the count is reported),
@@ -48,6 +48,8 @@ from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
+
+from .distributions import Link
 
 
 class ParseError(Exception):
@@ -158,6 +160,9 @@ class SchemaConfig:
             raise SchemaError("response labels must be distinct")
         seen = set()
         for cov in self.covariates:
+            if cov.name == "intercept":
+                raise SchemaError("covariate name 'intercept' is reserved for the design's "
+                                  "intercept column; rename that data column")
             if cov.name in seen:
                 raise SchemaError(f"covariate {cov.name!r} declared twice")
             seen.add(cov.name)
@@ -346,35 +351,22 @@ def _number(cell: str) -> float | None:
         return None
 
 
-def _stripped_column(raw: RawTable, index: int) -> tuple[np.ndarray, list[str]]:
-    """Column ``index`` as codes into its distinct whitespace-stripped cells.
-
-    Cells that differ only in padding share one code.
-    """
-    codes = raw.codes[index]
-    cells = [cell.strip() for cell in raw.cells[index].tolist()]
-    distinct = list(dict.fromkeys(cells))
-    if len(distinct) < len(cells):
-        position = {cell: k for k, cell in enumerate(distinct)}
-        codes = np.array([position[cell] for cell in cells], dtype=np.int32)[codes]
-        cells = distinct
-    return codes, cells
-
-
 def build_dataset(raw: RawTable, schema: SchemaConfig) -> tuple[Dataset, EncodingReport]:
     """Encode a RawTable under a schema; rows with missing tokens are dropped.
 
     Each step (stripping, the missing-token test, label lookup, number
-    parsing and checks, the log) runs once per distinct cell of a used
-    column, and its result is gathered to the rows by code. Categorical
-    levels are taken from the raw column before any rows are dropped; a
-    level whose every carrier row gets dropped still produces its
-    (all-zero) indicator column, with a warning in the report.
+    parsing and checks, the log) runs once per distinct raw cell of a used
+    column, and its result is gathered to the rows by code. Every step after
+    the strip depends only on the stripped cell, so raw cells that differ
+    only in padding give the same result. Categorical levels are taken from
+    the raw column before any rows are dropped; a level whose every carrier
+    row gets dropped still produces its (all-zero) indicator column, with a
+    warning in the report.
     """
     missing = {tok.strip() for tok in schema.missing}
     used = [schema.response] + [cov.name for cov in schema.covariates]
     indices = [raw.column_index(name) for name in used]
-    columns = [_stripped_column(raw, i) for i in indices]
+    columns = [(raw.codes[i], [cell.strip() for cell in raw.cells[i].tolist()]) for i in indices]
 
     for cov, (_, cells) in zip(schema.covariates, columns[1:]):
         if cov.kind == KIND_CATEGORICAL and (cov.base in missing or cov.base not in cells):
@@ -462,11 +454,14 @@ def simulate_dataset(spec, beta, cutpoints, n: int, rng: np.random.Generator) ->
     thresholds; the first threshold is fixed at 0.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    cutpoints = np.atleast_1d(np.asarray(cutpoints, dtype=float)) if np.size(cutpoints) else np.zeros(0)
+    cutpoints = np.atleast_1d(np.asarray(cutpoints, dtype=float))
     if beta.shape != (spec.k,):
         raise ValueError(f"beta has length {beta.size}, spec declares k = {spec.k}")
     if cutpoints.size != spec.J - 2:
         raise ValueError(f"need {spec.J - 2} interior cut-points, got {cutpoints.size}")
+    for name, values in (("beta", beta), ("cutpoints", cutpoints)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {values}")
     thresholds = np.concatenate([[0.0], cutpoints])
     if np.any(np.diff(thresholds) <= 0.0):
         raise ValueError(f"cut-points must be strictly increasing above 0, got {cutpoints}")
@@ -477,8 +472,6 @@ def simulate_dataset(spec, beta, cutpoints, n: int, rng: np.random.Generator) ->
         names = ["intercept"] + [f"x{i}" for i in range(1, spec.k)]
     else:
         names = [f"x{i}" for i in range(1, spec.k + 1)]
-
-    from .distributions import Link  # local import to keep module load light
 
     if spec.link is Link.PROBIT:
         eps = rng.standard_normal(n)

@@ -81,9 +81,7 @@ class Link(str, enum.Enum):
     def log_pdf(self, w):
         w = np.asarray(w, dtype=float)
         if self is Link.PROBIT:
-            with np.errstate(invalid="ignore"):
-                out = -0.5 * w * w - 0.5 * math.log(2.0 * math.pi)
-            return np.where(np.isinf(w), -np.inf, out)
+            return -0.5 * w * w - 0.5 * math.log(2.0 * math.pi)
         return _logistic_log_pdf(w, np.log1p(_exp_neg_abs(w)))
 
     def quantile(self, p):

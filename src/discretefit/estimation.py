@@ -208,10 +208,7 @@ def _report_space_vcov(spec: ModelSpec, params: ParamVector, H: np.ndarray,
         vcov_flat = linalg.cho_solve(factor, np.eye(H.shape[0]))
     else:
         vcov_flat = np.linalg.pinv(-H)
-    m_free = spec.J - 2
-    if m_free == 0:
-        return vcov_flat
-    jac = np.eye(spec.k + m_free)
+    jac = np.eye(spec.k + spec.J - 2)
     jac[spec.k:, spec.k:] = lk._spacing_jacobian(params.delta)
     return jac @ vcov_flat @ jac.T
 
@@ -246,7 +243,7 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
     else:
         lr_stat = lr_pvalue = lr_df = None
 
-    r2 = mcfadden_r2(ll0, ll) if ll0 < 0 else 0.0
+    r2 = mcfadden_r2(ll0, ll)
     hr = hit_rate(spec, params, data)
 
     return FitResult(

@@ -83,7 +83,7 @@ class ParamVector:
 
     def __post_init__(self):
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        self.delta = np.atleast_1d(np.asarray(self.delta, dtype=float)) if np.size(self.delta) else np.zeros(0)
+        self.delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
 
     @property
     def flat(self) -> np.ndarray:
@@ -105,10 +105,9 @@ def cutpoints_from_delta(delta) -> np.ndarray:
     gamma_j = gamma_{j-1} + exp(delta_j); strictly increasing by construction.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if delta.size and not np.all(np.isfinite(delta)):
+    if not np.all(np.isfinite(delta)):
         raise ValueError("delta must be finite")
-    interior = np.cumsum(np.exp(delta)) if delta.size else np.zeros(0)
-    return np.concatenate([[-np.inf, 0.0], interior, [np.inf]])
+    return np.concatenate([[-np.inf, 0.0], np.cumsum(np.exp(delta)), [np.inf]])
 
 
 def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -174,10 +173,7 @@ def cell_logprob(spec: ModelSpec, xb: float, j: int, gamma: np.ndarray) -> float
 
 def _spacing_jacobian(delta: np.ndarray) -> np.ndarray:
     """d gamma_j / d delta_m = exp(delta_m) for m <= j; lower triangular."""
-    m = delta.size
-    if m == 0:
-        return np.zeros((0, 0))
-    return np.tril(np.tile(np.exp(delta), (m, 1)))
+    return np.tril(np.tile(np.exp(delta), (delta.size, 1)))
 
 
 def _pdf_ratios(spec: ModelSpec, a, b, logp):
@@ -304,13 +300,9 @@ def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndar
 
     Row sums reproduce ``grad_loglik`` up to summation order.
     """
-    _check_dimensions(spec, params, data)
-    a, b = _bounds(params, data)
-    logp, _ = _interval_logprob(spec.link, a, b)
+    _, a, b, logp = _loglik_pass(spec, params, data)[2]
     r_a, r_b, _ = _pdf_ratios(spec, a, b, logp)
     scores_beta = data.X * (r_a - r_b)[:, None]
-    if spec.J == 2:
-        return scores_beta
     scores_gamma = _cut_weights(data.y, spec.J, r_b, -r_a)
     return np.hstack([scores_beta, scores_gamma @ _spacing_jacobian(params.delta)])
 
@@ -342,5 +334,4 @@ def initial_params(spec: ModelSpec, data: Dataset) -> ParamVector:
     beta = np.zeros(spec.k)
     if spec.intercept:
         beta[0] = -q[0]
-    delta = np.log(np.diff(q)) if spec.J > 2 else np.zeros(0)
-    return ParamVector(beta=beta, delta=delta)
+    return ParamVector(beta=beta, delta=np.log(np.diff(q)))

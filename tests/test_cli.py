@@ -91,6 +91,22 @@ class TestSimulate:
         assert rc == 1
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta, cutpoints, message", [
+        ("nan,1", "", "beta must be finite"),
+        ("0.1,inf", "", "beta must be finite"),
+        ("0.1,-inf", "1.0", "beta must be finite"),
+        ("0.1,1", "nan", "cutpoints must be finite"),
+        ("0.1,1", "1.0,inf", "cutpoints must be finite"),
+    ])
+    def test_non_finite_true_values_are_input_errors(self, tmp_path, capsys, beta, cutpoints,
+                                                     message):
+        out = tmp_path / "o.csv"
+        rc = run(["simulate", "--beta", beta, "--cutpoints", cutpoints, "--n", "50",
+                  "--out", out])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "o.schema").exists()
+
 
 class TestFit:
     def test_text_and_json_agree_field_for_field(self, sim_files, tmp_path):
@@ -134,6 +150,22 @@ class TestFit:
         ])
         assert rc == 1
         assert "nope.schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("intercept", ["true", "false"])
+    def test_covariate_named_intercept_is_refused(self, tmp_path, capsys, intercept):
+        rng = np.random.default_rng(5)
+        data_path = tmp_path / "d.csv"
+        rows = [f"{1 + (v > 0)},{w}" for v, w in zip(rng.standard_normal(300),
+                                                     rng.standard_normal(300))]
+        data_path.write_text("y,intercept\n" + "\n".join(rows) + "\n")
+        schema_path = tmp_path / "d.schema"
+        schema_path.write_text(f"response = y\nlabels = 1, 2\nintercept = {intercept}\n"
+                               "covariate.intercept = continuous\n")
+        rc = run(["fit", "--data", data_path, "--schema", schema_path,
+                  "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert "covariate name 'intercept' is reserved" in capsys.readouterr().err
+        assert not (tmp_path / "rep.txt").exists()
 
     def test_separation_exits_1_with_diagnostic(self, tmp_path, capsys):
         data = tmp_path / "sep.csv"
@@ -274,6 +306,26 @@ class TestEffects:
         assert f"--scale multiplier must be finite, got 'x1={mult}'" in capsys.readouterr().err
         assert not (tmp_path / "eff.json").exists()
 
+    @pytest.mark.parametrize("mult", ["0", "-0", "0.0", "0e5"])
+    def test_zero_scale_is_input_error(self, sim_files, tmp_path, capsys, mult):
+        data_path, schema_path = sim_files
+        rc = run([
+            "effects", "--data", data_path, "--schema", schema_path,
+            "--scale", f"x1={mult}", "--out", tmp_path / "eff",
+        ])
+        assert rc == 1
+        assert f"--scale multiplier must be nonzero, got 'x1={mult}'" in capsys.readouterr().err
+        assert not (tmp_path / "eff.json").exists()
+
+    def test_negative_scale_is_allowed(self, sim_files, tmp_path):
+        data_path, schema_path = sim_files
+        rc = run([
+            "effects", "--data", data_path, "--schema", schema_path,
+            "--scale", "x1=-2", "--out", tmp_path / "eff",
+        ])
+        assert rc == 0
+        assert "x1 (x-2)" in (tmp_path / "eff.txt").read_text()
+
     @pytest.mark.parametrize("level", ["nan", "0", "-0.1", "1.5", "inf"])
     def test_pfilter_outside_unit_interval_is_input_error(self, sim_files, tmp_path, capsys,
                                                           level):
@@ -337,6 +389,17 @@ class TestBayes:
         assert rc == 1
         assert "probit-only" in capsys.readouterr().err
         assert not (tmp_path / "ch.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "bayes"])
+    def test_empty_design_is_input_error(self, tmp_path, capsys, command):
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "d.schema"
+        data_path.write_text("y\n1\n2\n1\n2\n")
+        schema_path.write_text("response = y\nlabels = 1, 2\nintercept = false\n")
+        chain = ["--draws", "200", "--burn", "50"] if command == "bayes" else []
+        rc = run([command, "--data", data_path, "--schema", schema_path, *chain,
+                  "--out", tmp_path / "o"])
+        assert rc == 1
+        assert "need at least one design column" in capsys.readouterr().err
 
     def test_omitted_family_samples_the_binary_chain_on_two_labels(self, tmp_path):
         sim = tmp_path / "bin.csv"

@@ -211,6 +211,13 @@ class TestSchemaConfig:
         with pytest.raises(SchemaError):
             SchemaConfig.from_text("response = y\nlabels = a, b\ncovariate.x = cubic\n")
 
+    @pytest.mark.parametrize("intercept", ["true", "false"])
+    def test_covariate_named_intercept_is_reserved(self, intercept):
+        text = (f"response = y\nlabels = a, b\nintercept = {intercept}\n"
+                "covariate.intercept = continuous\n")
+        with pytest.raises(SchemaError, match="covariate name 'intercept' is reserved"):
+            SchemaConfig.from_text(text)
+
     def test_missing_required_keys(self):
         with pytest.raises(SchemaError):
             SchemaConfig.from_text("labels = a, b\n")
@@ -566,6 +573,17 @@ class TestSimulateDataset:
             simulate_dataset(spec, [0.0], [1.0, 0.5], 100, rng)
         with pytest.raises(ValueError):
             simulate_dataset(spec, [0.0], [-0.5, 0.5], 100, rng)
+
+    @pytest.mark.parametrize("beta, cutpoints, name", [
+        ([np.nan, 1.0], [1.0], "beta"),
+        ([0.1, np.inf], [1.0], "beta"),
+        ([0.1, 1.0], [np.nan], "cutpoints"),
+        ([0.1, 1.0], [-np.inf], "cutpoints"),
+    ])
+    def test_non_finite_true_values_rejected(self, beta, cutpoints, name):
+        spec = ModelSpec("ordinal", Link.LOGIT, J=3, k=2, intercept=True)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            simulate_dataset(spec, beta, cutpoints, 100, np.random.default_rng(1))
 
     def test_latent_threshold_rule(self):
         # with a fixed design and eps drawn manually, categories follow

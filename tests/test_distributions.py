@@ -299,6 +299,13 @@ class TestLinkProperties:
             assert link.pdf(-np.inf) == 0.0
             assert link.log_cdf(-np.inf) == -np.inf
 
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_log_pdf_at_infinite_bounds_is_minus_inf_without_a_flag(self, link):
+        # the likelihood's end-category rows have a bound at +/-inf
+        with np.errstate(all="raise"):
+            got = link.log_pdf(np.array([-np.inf, np.inf]))
+        assert np.all(got == -np.inf)
+
 
 class TestTruncNormSample:
     def test_unconstrained_matches_standard_normal(self):
