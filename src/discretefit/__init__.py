@@ -17,7 +17,6 @@ from .data import (
     SchemaError,
     build_dataset,
     parse_csv,
-    read_csv,
     simulate_dataset,
 )
 from .distributions import (
@@ -69,7 +68,7 @@ __all__ = [
     "ChainDraws", "PriorSpec", "gibbs_binary_probit", "gibbs_ordinal_probit",
     "posterior_summary", "Covariate", "Dataset", "EncodingError",
     "EncodingReport", "ParseError", "RawTable", "SchemaConfig", "SchemaError",
-    "build_dataset", "parse_csv", "read_csv", "simulate_dataset", "Link",
+    "build_dataset", "parse_csv", "simulate_dataset", "Link",
     "logistic_cdf", "logistic_pdf", "norm_cdf", "norm_inv_cdf", "norm_pdf",
     "trunc_norm_draws", "ColumnKindError",
     "CovariateEffect", "EffectsTable", "UnsupportedLinkError", "ce_continuous",

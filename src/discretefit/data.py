@@ -339,10 +339,6 @@ def parse_csv(data) -> RawTable:
                     cells=[Cells(list(factor)) for factor in factors])
 
 
-def read_csv(path) -> RawTable:
-    return parse_csv(Path(path).read_bytes())
-
-
 def _number(cell: str) -> float | None:
     """``float(cell)``, or None when the cell does not parse as a number."""
     try:

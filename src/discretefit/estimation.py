@@ -148,11 +148,9 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
     grad, H = lk._derivative_pass(spec, data, state, 2)
     history = [ll]
     iterations = 0
-    converged = False
 
     for it in range(1, opts.max_iter + 1):
         if np.max(np.abs(grad)) < opts.grad_tol:
-            converged = True
             break
 
         direction = _ridged_direction(H, grad)
@@ -194,10 +192,8 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
         if step_norm < _STEP_TOL:
             break
 
-    if not converged:
-        converged = bool(np.max(np.abs(grad)) < opts.grad_tol)
     factor = _neg_hessian_cholesky(H)
-    converged = converged and factor is not None
+    converged = bool(np.max(np.abs(grad)) < opts.grad_tol) and factor is not None
     return theta, ll, H, factor, clamps, iterations, converged, history
 
 

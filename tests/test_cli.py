@@ -533,3 +533,62 @@ class TestReproducibility:
         files_b = self._pipeline(dir_b)
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+
+class TestUsageErrors:
+    """A usage error exits 1 with one ``error:`` line, like any input error;
+    exit 2 stays reserved for a fit that did not converge."""
+
+    def test_unknown_option_is_named(self, capsys):
+        assert run(["fit", "--bogus"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+
+    def test_list_starting_with_a_minus_needs_the_equals_form(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--beta", "-0.5,1", "--out", out]) == 1
+        assert "argument --beta: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["simulate", "--beta=-0.5,1", "--out", out]) == 0
+        assert out.exists()
+
+    def test_missing_beta_is_input_error(self, tmp_path, capsys):
+        assert run(["simulate", "--out", tmp_path / "o.csv"]) == 1
+        assert "--beta is required for simulate" in capsys.readouterr().err
+
+    def test_missing_subcommand_is_input_error(self, capsys):
+        assert run([]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["fit", "effects", "simulate", "bayes"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: discretefit {command}")
+
+    @pytest.mark.parametrize("command, option", [
+        ("fit", ["--seed", "3"]),
+        ("effects", ["--seed", "3"]),
+        ("simulate", ["--data", "x.csv"]),
+        ("simulate", ["--schema", "x.schema"]),
+    ])
+    def test_subcommand_refuses_options_it_does_not_read(self, sim_files, tmp_path, capsys,
+                                                         command, option):
+        data_path, schema_path = sim_files
+        if command == "simulate":
+            argv = ["simulate", "--beta", "0.3,0.5", "--out", tmp_path / "o.csv"]
+        else:
+            argv = [command, "--data", data_path, "--schema", schema_path,
+                    "--out", tmp_path / "o"]
+        assert run(argv + option) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unrecognized arguments: {' '.join(option)}\n"
+        assert not any(tmp_path.glob("o.*"))
+
+    def test_entry_point_exits_1_on_a_usage_error(self):
+        src = Path(discretefit.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "discretefit.cli", "fit", "--bogus"],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.returncode == 1
+        assert done.stderr == "error: unrecognized arguments: --bogus\n"
