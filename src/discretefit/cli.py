@@ -128,11 +128,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_effects(args: argparse.Namespace) -> int:
     if args.pfilter is not None and not 0.0 < args.pfilter <= 1.0:
         raise InputError(f"--pfilter must lie in (0, 1], got {args.pfilter}")
+    columns = [c.strip() for c in args.columns.split(",")] if args.columns else []
+    for option, names in (("--columns", columns), ("--scale", [n for n, _ in args.scales])):
+        repeated = [n for i, n in enumerate(names) if n in names[:i]]
+        if repeated:
+            raise InputError(f"{option} names {repeated[0]!r} more than once")
     dataset, schema, report, fit = _fit(args)
     column_indices = None
-    if args.columns:
+    if columns:
         column_indices = []
-        for name in (c.strip() for c in args.columns.split(",")):
+        for name in columns:
             if name not in dataset.column_names:
                 raise InputError(f"unknown covariate {name!r}")
             column_indices.append(dataset.column_names.index(name))

@@ -302,9 +302,17 @@ def predict_prob(spec: ModelSpec, params: ParamVector, X_new: np.ndarray) -> np.
 
 def hit_rate(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
     """Percentage of observations whose observed category has the highest
-    predicted probability; ties go to the lowest category index."""
-    probs = predict_prob(spec, params, data.X)
-    predicted = np.argmax(probs, axis=1) + 1
+    predicted probability; ties go to the lowest category index. It takes
+    ``predict_prob``'s probabilities one category at a time, no n x J matrix."""
+    xb = data.X @ params.beta
+    gamma = params.cutpoints()
+    cdf = best = spec.link.cdf(gamma[1] - xb)
+    predicted = np.ones(data.n, dtype=data.y.dtype)
+    for j in range(2, spec.J + 1):
+        upper = spec.link.cdf(gamma[j] - xb) if j < spec.J else 1.0
+        prob = upper - cdf
+        predicted = np.where(prob > best, j, predicted)
+        best, cdf = np.maximum(best, prob), upper
     return float(np.mean(predicted == data.y) * 100.0)
 
 

@@ -19,10 +19,15 @@ values instead of dying on -inf.
 One likelihood pass runs in two stages. The first computes the interval
 bounds and log-probabilities and sums them into the log-likelihood; it
 returns them as a state. The derivative stage turns that state into the
-gradient and, if asked, the Hessian, computing the pdf ratios and curvature
-once for both. For the logit it takes the log-density (for the ratios f/p)
-and the cdf (for the curvature) at each bound from one exp(-|w|) and one
-log1p. A line search scores its candidates with the first stage
+gradient and the Hessian. It walks the rows in blocks of a fixed size and
+evaluates the link kernels at the finite bounds only; an end-category row's
+infinite bound contributes exactly 0. For the logit it takes the log-density
+(for the ratios f/p) and the cdf (for the curvature) at each bound from one
+exp(-|w|) and one log1p. Each block adds one matrix product to a small sum
+that holds the gradient, the beta-beta Hessian and the beta-cut-point
+block, so no n x k temporary is built. Every product has the same shape, so
+the order of each sum, and every bit of the result, is the same at any BLAS
+thread count. A line search scores its candidates with the first stage
 alone and runs the derivative stage only on the candidate it accepts, so no
 bound or log-probability is computed twice.
 """
@@ -40,6 +45,11 @@ FAMILY_BINARY = "binary"
 FAMILY_ORDINAL = "ordinal"
 
 _LOG_FLOOR = -745.0
+
+# Rows per block of the derivative stage. A constant, so that the order of
+# every sum, and with it every bit of the gradient and the Hessian, is the
+# same on any machine and at any BLAS thread count.
+_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -176,54 +186,42 @@ def _spacing_jacobian(delta: np.ndarray) -> np.ndarray:
     return np.tril(np.tile(np.exp(delta), (delta.size, 1)))
 
 
-def _pdf_ratios(spec: ModelSpec, a, b, logp):
-    """f(a)/p and f(b)/p computed in log space, zero at infinite bounds, and
-    the cdf at (a, b) that the logit curvature needs (None for the probit).
-
-    The logit takes log f and F at each bound from one exp(-|w|) and one
-    log1p.
+def _bound_terms(link: Link, a, b, logp):
+    """[[r_a, r_b], [t_a, t_b]] as one (2, 2, m) array: at each bound w the
+    ratio r = f(w)/p and t = r f'(w)/f(w). The gradient of log p in (a, b)
+    is g = (r_a, -r_b) and its Hessian diag(-t_a, t_b) - g g'. Both terms
+    are exactly 0 at an infinite bound, which the link kernels never see:
+    numpy's vectorized exp takes a slow path on -inf, and every end-category
+    row has one. The logit takes log f and F at each bound from one
+    exp(-|w|) and one log1p.
     """
-    link = spec.link
-    with np.errstate(invalid="ignore", over="ignore"):
+    w = np.concatenate([a, b])
+    finite = np.flatnonzero(np.isfinite(w))
+    w = np.take(w, finite)
+    logp = np.take(logp, finite, mode="wrap")  # row i of a and of b is row i of logp
+    with np.errstate(over="ignore"):
         if link is Link.PROBIT:
-            log_fa, log_fb, cdfs = link.log_pdf(a), link.log_pdf(b), None
+            r = np.exp(link.log_pdf(w) - logp)
+            slope = -w                      # phi'(w) = -w phi(w)
         else:
-            log_fa, cdf_a = logistic_log_pdf_cdf(a)
-            log_fb, cdf_b = logistic_log_pdf_cdf(b)
-            cdfs = cdf_a, cdf_b
-        r_a = np.exp(log_fa - logp)
-        r_b = np.exp(log_fb - logp)
-    return r_a, r_b, cdfs
+            log_f, cdf = logistic_log_pdf_cdf(w)
+            r = np.exp(log_f - logp)
+            slope = 1.0 - 2.0 * cdf         # f'(w) = f(w) (1 - 2 F(w))
+    terms = np.zeros((2, 2 * np.size(a)))
+    terms[0][finite] = r
+    terms[1][finite] = slope * r
+    return terms.reshape(2, 2, -1)
 
 
-def _curvature_terms(spec: ModelSpec, a, b, r_a, r_b, cdfs):
-    """Second derivatives of log p w.r.t. the interval bounds (a, b);
-    ``cdfs`` is the third value ``_pdf_ratios`` returns."""
-    if spec.link is Link.PROBIT:
-        # d/dw phi(w) = -w phi(w); the infinite bounds contribute nothing
-        with np.errstate(invalid="ignore"):
-            da = np.where(np.isfinite(a), a * r_a, 0.0)
-            db = np.where(np.isfinite(b), -b * r_b, 0.0)
-    else:
-        # d/dw f(w) = f(w) (1 - 2 F(w))
-        lam_a, lam_b = cdfs
-        da = -r_a * (1.0 - 2.0 * lam_a)
-        db = r_b * (1.0 - 2.0 * lam_b)
-    d2aa = da - r_a * r_a
-    d2bb = db - r_b * r_b
-    d2ab = r_a * r_b
-    return d2aa, d2bb, d2ab
-
-
-def _cut_weights(y: np.ndarray, J: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """n x (J - 2) matrix holding ``upper`` in the column of gamma_y and
-    ``lower`` in the column of gamma_{y-1}, wherever that cut-point is free."""
-    W = np.zeros((y.size, J - 2))
-    rows = np.flatnonzero((y >= 2) & (y <= J - 1))  # gamma_y is a free cut-point
-    W[rows, y[rows] - 2] = upper[rows]
-    rows = np.flatnonzero(y >= 3)                    # gamma_{y-1} is a free cut-point
-    W[rows, y[rows] - 3] += lower[rows]
-    return W
+def _scatter_cuts(cuts: np.ndarray, y: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> None:
+    """Write ``upper`` into row y and ``lower`` into row y - 1 of ``cuts``: a
+    row per cut-point gamma_0..gamma_J, a column per observation (and maybe
+    more); the rows 2..J-1 of the free cut-points must start at zero."""
+    width = cuts.shape[1]
+    flat = y * width + np.arange(y.size)
+    cuts = cuts.reshape(-1)  # a view: the buffers passed in are contiguous
+    cuts[flat] = upper
+    cuts[flat - width] = lower
 
 
 def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
@@ -240,35 +238,58 @@ def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
 
 def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
     """Second stage of a pass: (gradient, Hessian or None) from the state of
-    ``_loglik_pass``; ``order`` 1 stops after the gradient.
+    ``_loglik_pass``; ``order`` 1 drops the Hessian.
 
     Derivatives are taken with respect to the interval bounds, mapped
     through the (linear) bound Jacobian and then the exp-spacing chain rule;
-    the Hessian is symmetrized before returning.
+    the Hessian is symmetrized before returning. The rows are reduced in
+    blocks of ``_BLOCK_ROWS``: each block adds one product
+    X_blk' [X_blk w | r_a - r_b | cut-point weights] to a k x (k + J - 1)
+    sum, which holds the beta-beta Hessian, the beta gradient and the
+    beta-cut-point block, and its per-category sums to a (5, J + 2) one.
+    Both orders take the gradient from this one reduction, so it has the
+    same bits in either.
     """
     params, a, b, logp = state
-    X, y, J = data.X, data.y, spec.J
-    r_a, r_b, cdfs = _pdf_ratios(spec, a, b, logp)
-    A = _spacing_jacobian(params.delta)
+    X, y, J, k = data.X, data.y, spec.J, spec.k
     n_bins = J + 2  # bincount target length
-    grad_gamma = np.bincount(y, r_b, n_bins)[2:J] - np.bincount(y, r_a, n_bins)[3:J + 1]
-    grad_delta = A.T @ grad_gamma
-    grad = np.concatenate([X.T @ (r_a - r_b), grad_delta])
+    prod = np.empty((k + J - 1, _BLOCK_ROWS))  # the right factor, transposed
+    cuts = np.zeros((J + 1, _BLOCK_ROWS))
+    acc = np.zeros((k, k + J - 1))
+    by_cat = np.zeros((5, n_bins))
+    for start in range(0, data.n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        (r_a, r_b), (t_a, t_b) = _bound_terms(spec.link, a[rows], b[rows], logp[rows])
+        d2aa = -t_a - r_a * r_a
+        d2bb = t_b - r_b * r_b
+        d2ab = r_a * r_b
+        X_blk, y_blk, m = X[rows], y[rows], r_a.size
+        if m < _BLOCK_ROWS:
+            # zero rows pad the last block, so every product has one shape: a
+            # BLAS may round a product of another length by its thread count
+            X_blk = np.zeros((_BLOCK_ROWS, k))
+            X_blk[:m] = X[rows]
+            prod[:, m:] = 0.0
+        np.multiply(X_blk[:m].T, d2aa + d2bb + 2.0 * d2ab, out=prod[:k, :m])
+        np.subtract(r_a, r_b, out=prod[k, :m])
+        if J > 2:  # no free cut-point at J = 2: skip the scatter and the bincounts
+            _scatter_cuts(cuts, y_blk, d2bb + d2ab, d2aa + d2ab)
+            prod[k + 1:, :m] = cuts[2:J, :m]
+            cuts[2:J] = 0.0
+            for row, weights in enumerate((r_b, r_a, d2bb, d2aa, d2ab)):
+                by_cat[row] += np.bincount(y_blk, weights, n_bins)
+        acc += X_blk.T @ prod.T
+    r_b_by_cat, r_a_by_cat, bb_by_cat, aa_by_cat, ab_by_cat = by_cat
+    A = _spacing_jacobian(params.delta)
+    grad_delta = A.T @ (r_b_by_cat[2:J] - r_a_by_cat[3:J + 1])
+    grad = np.concatenate([acc[:, k], grad_delta])
     if order == 1:
         return grad, None
 
-    d2aa, d2bb, d2ab = _curvature_terms(spec, a, b, r_a, r_b, cdfs)
-    H = X.T @ (X * (d2aa + d2bb + 2.0 * d2ab)[:, None])
-    if J > 2:
-        bb_by_cat = np.bincount(y, d2bb, n_bins)
-        aa_by_cat = np.bincount(y, d2aa, n_bins)
-        ab_by_cat = np.bincount(y, d2ab, n_bins)
-        H_gg = (np.diag(bb_by_cat[2:J] + aa_by_cat[3:J + 1])
-                + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
-        H_bg = -X.T @ _cut_weights(y, J, d2bb + d2ab, d2aa + d2ab)
-        H_dd = A.T @ H_gg @ A + np.diag(grad_delta)
-        H_bd = H_bg @ A
-        H = np.block([[H, H_bd], [H_bd.T, H_dd]])
+    H_gg = (np.diag(bb_by_cat[2:J] + aa_by_cat[3:J + 1])
+            + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
+    H_bd = -acc[:, k + 1:] @ A
+    H = np.block([[acc[:, :k], H_bd], [H_bd.T, A.T @ H_gg @ A + np.diag(grad_delta)]])
     return grad, 0.5 * (H + H.T)
 
 
@@ -301,10 +322,11 @@ def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndar
     Row sums reproduce ``grad_loglik`` up to summation order.
     """
     _, a, b, logp = _loglik_pass(spec, params, data)[2]
-    r_a, r_b, _ = _pdf_ratios(spec, a, b, logp)
-    scores_beta = data.X * (r_a - r_b)[:, None]
-    scores_gamma = _cut_weights(data.y, spec.J, r_b, -r_a)
-    return np.hstack([scores_beta, scores_gamma @ _spacing_jacobian(params.delta)])
+    r_a, r_b = _bound_terms(spec.link, a, b, logp)[0]
+    cuts = np.zeros((spec.J + 1, data.n))
+    _scatter_cuts(cuts, data.y, r_b, -r_a)
+    scores_gamma = cuts[2:spec.J].T @ _spacing_jacobian(params.delta)
+    return np.hstack([data.X * (r_a - r_b)[:, None], scores_gamma])
 
 
 def grad_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:

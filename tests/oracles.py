@@ -12,6 +12,11 @@ gamma.
 forms of the truncated-normal draws and of the probit sweep loop (masked
 branches, full likelihood passes, scipy's solve wrappers); they do use scipy
 and the package, and the faster forms must reproduce their draws bit for bit.
+``bound_terms_unblocked`` and ``derivative_pass_unblocked`` are the earlier,
+whole-array form of the likelihood's derivative stage (link kernels on every
+bound, infinite ones included, an n x k weighted copy of X and an
+n x (J - 2) cut-weight matrix); the blocked stage must agree with them to
+rounding, and per row bit for bit.
 """
 
 from __future__ import annotations
@@ -370,3 +375,54 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, debug=Fa
         burn=burn, accept_rate=accepted / S if m_free else None, seed=seed,
         latent_z=z if z.size else None,
     )
+
+
+def bound_terms_unblocked(link, a, b, logp):
+    """Per-row (r_a, r_b, da, db): the pdf ratios f/p at the bounds and
+    f'/p, from ``Link.log_pdf`` and ``Link.cdf`` evaluated on every bound,
+    the infinite ones guarded afterwards."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        r_a = np.exp(link.log_pdf(a) - logp)
+        r_b = np.exp(link.log_pdf(b) - logp)
+        if link is Link.PROBIT:
+            da = np.where(np.isfinite(a), a * r_a, 0.0)
+            db = np.where(np.isfinite(b), -b * r_b, 0.0)
+        else:
+            da = -r_a * (1.0 - 2.0 * link.cdf(a))
+            db = r_b * (1.0 - 2.0 * link.cdf(b))
+    return r_a, r_b, da, db
+
+
+def cut_weights_unblocked(y, J, upper, lower):
+    """n x (J - 2) matrix holding ``upper`` in the column of gamma_y and
+    ``lower`` in the column of gamma_{y-1}, by boolean-mask scatter."""
+    W = np.zeros((y.size, J - 2))
+    upper_free = (y >= 2) & (y <= J - 1)
+    lower_free = y >= 3
+    W[upper_free, y[upper_free] - 2] = upper[upper_free]
+    W[lower_free, y[lower_free] - 3] += lower[lower_free]
+    return W
+
+
+def derivative_pass_unblocked(spec, data, state):
+    """(gradient, Hessian) from a ``_loglik_pass`` state, all rows at once."""
+    params, a, b, logp = state
+    X, y, J = data.X, data.y, spec.J
+    r_a, r_b, da, db = bound_terms_unblocked(spec.link, a, b, logp)
+    d2aa, d2bb, d2ab = da - r_a * r_a, db - r_b * r_b, r_a * r_b
+    A = lk._spacing_jacobian(params.delta)
+    n_bins = J + 2
+    grad_gamma = np.bincount(y, r_b, n_bins)[2:J] - np.bincount(y, r_a, n_bins)[3:J + 1]
+    grad_delta = A.T @ grad_gamma
+    grad = np.concatenate([X.T @ (r_a - r_b), grad_delta])
+    H = X.T @ (X * (d2aa + d2bb + 2.0 * d2ab)[:, None])
+    bb_by_cat = np.bincount(y, d2bb, n_bins)
+    aa_by_cat = np.bincount(y, d2aa, n_bins)
+    ab_by_cat = np.bincount(y, d2ab, n_bins)
+    H_gg = (np.diag(bb_by_cat[2:J] + aa_by_cat[3:J + 1])
+            + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
+    H_bg = -X.T @ cut_weights_unblocked(y, J, d2bb + d2ab, d2aa + d2ab)
+    H_dd = A.T @ H_gg @ A + np.diag(grad_delta)
+    H_bd = H_bg @ A
+    H = np.block([[H, H_bd], [H_bd.T, H_dd]])
+    return grad, 0.5 * (H + H.T)

@@ -473,6 +473,21 @@ class TestFailFast:
         assert "grad_tol must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "rep.txt").exists()
 
+    @pytest.mark.parametrize("option,name", [
+        (["--columns", "x1,x1"], "x1"),
+        (["--columns", "x2, x1,x2"], "x2"),
+        (["--scale", "x1=10", "--scale", "x1=2"], "x1"),
+        (["--scale", "x2=3", "--scale", "x1=1", "--scale", " x2 =3"], "x2"),
+    ])
+    def test_repeated_effects_name_reported_before_parsing(self, sim_files, tmp_path, capsys,
+                                                           no_parse, option, name):
+        data_path, schema_path = sim_files
+        rc = run(["effects", "--data", data_path, "--schema", schema_path, *option,
+                  "--out", tmp_path / "eff"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {option[0]} names {name!r} more than once\n"
+        assert not any(tmp_path.glob("eff.*"))
+
     def test_iteration_cap_below_one_reported_before_parsing(self, sim_files, tmp_path, capsys,
                                                              no_parse):
         data_path, schema_path = sim_files
@@ -592,3 +607,28 @@ class TestUsageErrors:
                               env=dict(os.environ, PYTHONPATH=str(src)))
         assert done.returncode == 1
         assert done.stderr == "error: unrecognized arguments: --bogus\n"
+
+
+class TestThreadStableReports:
+    """The ``.json`` reports carry every bit of the fit; they must not depend
+    on the BLAS thread count. The design is wide enough (k = 19) and the
+    file long enough that a BLAS runs the fit's products on two threads."""
+
+    def test_json_reports_identical_at_one_and_two_blas_threads(self, tmp_path):
+        betas = "0.3,0.5,-0.4,0.3,-0.2,0.6,0.1,-0.3,0.25,0.4,-0.5,0.2,0.15,-0.1,0.35,-0.45,0.05,0.3,-0.2"
+        data_path = tmp_path / "wide.csv"
+        assert run(["simulate", "--family", "ordinal", "--link", "logit", "--beta", betas,
+                    "--cutpoints", "1.0", "--n", "20011", "--seed", "11", "--out", data_path]) == 0
+        src = Path(discretefit.__file__).resolve().parents[1]
+        reports = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            for command in ("fit", "effects"):
+                out = tmp_path / f"{command}-{threads}"
+                subprocess.run([sys.executable, "-m", "discretefit.cli", command,
+                                "--data", str(data_path), "--schema", str(tmp_path / "wide.schema"),
+                                "--link", "logit", "--out", str(out)],
+                               env=env, capture_output=True, timeout=300, check=True)
+                reports[command, threads] = Path(f"{out}.json").read_bytes()
+        assert reports["fit", "1"] == reports["fit", "2"]
+        assert reports["effects", "1"] == reports["effects", "2"]

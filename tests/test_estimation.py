@@ -445,6 +445,24 @@ class TestHitRate:
         params = ParamVector([0.0])
         assert hit_rate(spec, params, data) == 50.0  # always predicts category 1
 
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_predicts_the_first_argmax_of_predict_prob(self, link, J):
+        rng = np.random.default_rng(20 + J)
+        spec = ModelSpec("binary" if J == 2 else "ordinal", link, J=J, k=2, intercept=True)
+        params = ParamVector([0.0, 1.0], np.zeros(J - 2))
+        # x = 0 ties categories 1 and 2 when J = 2, and x = 0.5 puts 1 and 3
+        # within an ulp when J = 3; the rest spread over both tails
+        x = np.concatenate([[0.0, 0.5, -0.5, 1.0], rng.uniform(-40.0, 40.0, 3000)])
+        X = np.column_stack([np.ones(x.size), x])
+        predicted = np.argmax(predict_prob(spec, params, X), axis=1) + 1
+        names = ["intercept", "x"]
+        exact = Dataset(y=predicted, X=X, column_names=names, J=J)
+        assert hit_rate(spec, params, exact) == 100.0
+        y = rng.integers(1, J + 1, x.size)
+        data = Dataset(y=y, X=X, column_names=names, J=J)
+        assert hit_rate(spec, params, data) == float(np.mean(predicted == y) * 100.0)
+
 
 class TestPredictProb:
     def test_known_cells(self):

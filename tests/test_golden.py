@@ -3,9 +3,10 @@
 The pipeline simulates a binary and an ordinal file, fits both under each
 link, computes their effects, and runs a short probit chain on each (J = 2
 and J = 3). Every text report, and the simulated CSV and schema, must equal
-its copy under ``tests/golden/``. The ``.json`` reports are left out: their
-last digits depend on the BLAS thread count, which the rounded text does not
-show.
+its copy under ``tests/golden/``. The ``.json`` reports are left out: a
+chain's last digits depend on the BLAS thread count at large n (the
+sampler's ``X.T @ z``), which the rounded text does not show; the fit and
+effects reports are thread-stable, which ``tests/test_cli.py`` checks.
 
 To regenerate the golden files (only for a deliberate change of output)::
 

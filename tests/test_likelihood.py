@@ -21,9 +21,15 @@ from discretefit import (
 )
 from discretefit import predict_prob
 from discretefit import likelihood as lk
-from discretefit.likelihood import _cut_weights, _evaluate, _interval_logprob, score_matrix
+from discretefit.likelihood import _evaluate, _interval_logprob, score_matrix
 
-from oracles import finite_diff_grad, finite_diff_jac
+from oracles import (
+    bound_terms_unblocked,
+    cut_weights_unblocked,
+    derivative_pass_unblocked,
+    finite_diff_grad,
+    finite_diff_jac,
+)
 
 # from the erf-series oracle
 PHI_1 = 0.8413447460685429
@@ -272,16 +278,6 @@ def _two_tail_logprob(link, a, b):
         return np.where(use_left, left, right)
 
 
-def _mask_cut_weights(y, J, upper, lower):
-    """The boolean-mask scatter that built the cut-point weights before."""
-    W = np.zeros((y.size, J - 2))
-    upper_free = (y >= 2) & (y <= J - 1)
-    lower_free = y >= 3
-    W[upper_free, y[upper_free] - 2] = upper[upper_free]
-    W[lower_free, y[lower_free] - 3] += lower[lower_free]
-    return W
-
-
 class TestFusedKernel:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_one_tail_logprob_bit_identical_to_two_tail(self, link):
@@ -341,7 +337,7 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("J", [3, 4, 5])
     @pytest.mark.parametrize("absent", ["none", "first", "last", "both"])
-    def test_cut_weights_bit_identical_to_mask_scatter(self, J, absent):
+    def test_scattered_cut_weights_bit_identical_to_mask_scatter(self, J, absent):
         # rows of categories 1 and J take no weight at gamma_y
         rng = np.random.default_rng(J)
         y = rng.integers(1, J + 1, 500)
@@ -350,11 +346,13 @@ class TestFusedKernel:
         if absent in ("last", "both"):
             y[y == J] = J - 1
         upper, lower = rng.standard_normal((2, y.size))
-        got = _cut_weights(y, J, upper, lower)
-        want = _mask_cut_weights(y, J, upper, lower)
-        np.testing.assert_array_equal(got, want)
-        X = rng.standard_normal((y.size, 4))
-        np.testing.assert_array_equal(X.T @ got, X.T @ want)
+        want = cut_weights_unblocked(y, J, upper, lower)
+        # the scatter writes the observations' columns of a wider buffer
+        for width in (y.size, y.size + 37):
+            cuts = np.zeros((J + 1, width))
+            lk._scatter_cuts(cuts, y, upper, lower)
+            np.testing.assert_array_equal(cuts[2:J, :y.size].T, want)
+            assert not np.any(cuts[2:J, y.size:])
 
     @pytest.mark.parametrize("J", [2, 3, 4, 5])
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
@@ -370,27 +368,10 @@ class TestFusedKernel:
         np.testing.assert_array_equal(predict_prob(spec, params, X), want)
 
 
-def _inline_pdf_ratios(spec, a, b, logp):
-    """The pdf ratios from one ``log_pdf`` call per bound, and the logit
-    cdf from a separate ``cdf`` call per bound."""
-    link = spec.link
-    with np.errstate(invalid="ignore", over="ignore"):
-        r_a = np.exp(link.log_pdf(a) - logp)
-        r_b = np.exp(link.log_pdf(b) - logp)
-    cdfs = None if link is Link.PROBIT else (link.cdf(a), link.cdf(b))
-    return r_a, r_b, cdfs
-
-
-def _inline_curvature_terms(spec, a, b, r_a, r_b):
-    """d2 log p / d(a, b)^2 written out from ``Link.cdf``."""
-    if spec.link is Link.PROBIT:
-        with np.errstate(invalid="ignore"):
-            da = np.where(np.isfinite(a), a * r_a, 0.0)
-            db = np.where(np.isfinite(b), -b * r_b, 0.0)
-    else:
-        da = -r_a * (1.0 - 2.0 * spec.link.cdf(a))
-        db = r_b * (1.0 - 2.0 * spec.link.cdf(b))
-    return da - r_a * r_a, db - r_b * r_b, r_a * r_b
+def _inline_bound_terms(link, a, b, logp):
+    """``_bound_terms`` from the whole-array reference formulas."""
+    r_a, r_b, da, db = bound_terms_unblocked(link, a, b, logp)
+    return np.array([[r_a, r_b], [-da, db]])
 
 
 def _wide_instance(link, J, n, seed):
@@ -408,7 +389,8 @@ def _wide_instance(link, J, n, seed):
 
 class TestSharedExponentialDerivatives:
     """The derivative stage, which takes the logit log-density and cdf at a
-    bound from one exp(-|w|), keeps the bits of the inline formulas."""
+    bound from one exp(-|w|) and skips the infinite bounds, keeps the bits
+    of the inline formulas."""
 
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_bound_terms_bit_identical(self, link):
@@ -418,15 +400,9 @@ class TestSharedExponentialDerivatives:
         a, b = np.meshgrid(ends, ends)
         keep = a < b
         a, b = a[keep], b[keep]
-        spec = ModelSpec("ordinal", link, J=3, k=1)
         logp, _ = _interval_logprob(link, a, b)
-        r_a, r_b, cdfs = lk._pdf_ratios(spec, a, b, logp)
-        want_a, want_b, _ = _inline_pdf_ratios(spec, a, b, logp)
-        np.testing.assert_array_equal(r_a, want_a)
-        np.testing.assert_array_equal(r_b, want_b)
-        got = lk._curvature_terms(spec, a, b, r_a, r_b, cdfs)
-        for g, w in zip(got, _inline_curvature_terms(spec, a, b, want_a, want_b)):
-            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(lk._bound_terms(link, a, b, logp),
+                                      _inline_bound_terms(link, a, b, logp))
 
     @pytest.mark.parametrize("J", [2, 3, 4, 5])
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
@@ -434,12 +410,68 @@ class TestSharedExponentialDerivatives:
         spec, params, data = _wide_instance(link, J, n=400, seed=70 + J)
         _, _, grad, H = _evaluate(spec, params, data, 2)
         assert np.all(np.isfinite(H))
-        monkeypatch.setattr(lk, "_pdf_ratios", _inline_pdf_ratios)
-        monkeypatch.setattr(lk, "_curvature_terms",
-                            lambda spec, a, b, r_a, r_b, cdfs: _inline_curvature_terms(spec, a, b, r_a, r_b))
+        monkeypatch.setattr(lk, "_bound_terms", _inline_bound_terms)
         _, _, want_grad, want_H = _evaluate(spec, params, data, 2)
         np.testing.assert_array_equal(grad, want_grad)
         np.testing.assert_array_equal(H, want_H)
+
+
+class TestBlockedDerivativeStage:
+    """The derivative stage reduces fixed blocks of rows; it agrees with the
+    whole-array formulas, and no link kernel sees an infinite bound."""
+
+    BLOCK = lk._BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [100, BLOCK, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_matches_unblocked_formulas(self, link, J, n):
+        spec, params, data = _wide_instance(link, J, n=n, seed=80 + J)
+        state = lk._loglik_pass(spec, params, data)[2]
+        grad, H = lk._derivative_pass(spec, data, state, 2)
+        grad1, H1 = lk._derivative_pass(spec, data, state, 1)
+        assert H1 is None
+        np.testing.assert_array_equal(grad1, grad)
+        # relative in the max norm: an entry that cancels to near 0 keeps
+        # the rounding of its largest terms
+        for got, want in zip((grad, H), derivative_pass_unblocked(spec, data, state)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_kernels_see_only_finite_bounds(self, link, J, monkeypatch):
+        spec, params, data = _wide_instance(link, J, n=self.BLOCK + 5, seed=90 + J)
+        state = lk._loglik_pass(spec, params, data)[2]
+        seen = []
+
+        def recording(kernel):
+            def wrapped(*args):
+                seen.append(np.asarray(args[-1]))
+                return kernel(*args)
+            return wrapped
+
+        if link is Link.PROBIT:
+            monkeypatch.setattr(Link, "log_pdf", recording(Link.log_pdf))
+        else:
+            monkeypatch.setattr(lk, "logistic_log_pdf_cdf", recording(lk.logistic_log_pdf_cdf))
+        lk._derivative_pass(spec, data, state, 2)
+        w = np.concatenate(seen)
+        assert np.all(np.isfinite(w))
+        # one bound per end-category row, two per interior row
+        n_end = int(np.sum((data.y == 1) | (data.y == J)))
+        assert w.size == 2 * data.n - n_end
+
+    @pytest.mark.parametrize("logp", [-0.5, -745.0])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_infinite_bounds_contribute_exactly_zero(self, link, logp):
+        # a clamped cell (log p = -745) would overflow f(w)/p at any stand-in
+        a = np.array([-np.inf, -np.inf, 0.3, -1.0])
+        b = np.array([0.5, np.inf, np.inf, 2.0])
+        (r_a, r_b), (t_a, t_b) = lk._bound_terms(link, a, b, np.full(4, logp))
+        for values, infinite in ((r_a, np.isinf(a)), (t_a, np.isinf(a)),
+                                 (r_b, np.isinf(b)), (t_b, np.isinf(b))):
+            assert np.all(values[infinite] == 0.0)
+            assert np.all(values[~infinite] != 0.0)
 
 
 class TestModelSpecValidation:
