@@ -20,6 +20,10 @@ rows with y >= 2 and sums them with the kept values of the others, which
 gives the bits of a full pass. The draws are the same as from full
 likelihood passes.
 
+The sweep runs no per-draw assertion and keeps no latent draws: the
+cut-points increase by construction, and ``trunc_norm_draws`` refuses an
+empty interval.
+
 Default priors are weakly informative: beta ~ N(0, 100 I) and each log
 spacing ~ N(0, 25). With no data the samplers reproduce the prior.
 """
@@ -85,7 +89,6 @@ class ChainDraws:
     burn: int
     accept_rate: float | None = None
     seed: int | None = None
-    latent_z: np.ndarray | None = None
 
     @property
     def n_draws(self) -> int:
@@ -150,11 +153,9 @@ def _coef_sampler(X: np.ndarray, b0: np.ndarray, B0: np.ndarray):
     return draw
 
 
-def _latent_bounds(delta: np.ndarray, y: np.ndarray, debug: bool):
+def _latent_bounds(delta: np.ndarray, y: np.ndarray):
     """Interval (gamma_{y-1}, gamma_y] of each latent utility."""
     gamma = lk.cutpoints_from_delta(delta)
-    if debug:
-        assert np.all(np.diff(gamma) > 0.0)
     return gamma[y - 1], gamma[y]
 
 
@@ -163,8 +164,8 @@ def _delta_names(J: int) -> list[str]:
 
 
 def gibbs_binary_probit(data: Dataset, prior: PriorSpec | None = None,
-                        S: int = DEFAULT_DRAWS, burn: int = DEFAULT_BURN, rng=0,
-                        debug: bool = False) -> ChainDraws:
+                        S: int = DEFAULT_DRAWS, burn: int = DEFAULT_BURN,
+                        rng=0) -> ChainDraws:
     """Data-augmentation Gibbs sampler for the binary probit model.
 
     ``rng`` may be a seed (recorded in the output) or a Generator. All S
@@ -172,13 +173,13 @@ def gibbs_binary_probit(data: Dataset, prior: PriorSpec | None = None,
     """
     if data.J != 2:
         raise ValueError("gibbs_binary_probit needs binary (J = 2) data")
-    return _gibbs_probit(data, prior, S, burn, rng, debug)
+    return _gibbs_probit(data, prior, S, burn, rng)
 
 
 def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
                          S: int = DEFAULT_DRAWS, burn: int = DEFAULT_BURN,
                          mh_step: float = DEFAULT_MH_STEP,
-                         rng=0, debug: bool = False) -> ChainDraws:
+                         rng=0) -> ChainDraws:
     """Gibbs sampler for the ordinal probit with an MH block on the cut-points.
 
     The log spacings delta move jointly by a random walk with scale
@@ -191,11 +192,11 @@ def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
         raise ValueError("ordinal sampler needs J >= 3 categories")
     if not (math.isfinite(mh_step) and mh_step > 0):
         raise ValueError(f"mh_step must be positive and finite, got {mh_step}")
-    return _gibbs_probit(data, prior, S, burn, rng, debug, mh_step)
+    return _gibbs_probit(data, prior, S, burn, rng, mh_step)
 
 
 def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
-                  rng, debug: bool, mh_step: float = 0.0) -> ChainDraws:
+                  rng, mh_step: float = 0.0) -> ChainDraws:
     """The sweep loop shared by both samplers, for any J >= 2.
 
     With J = 2 the cut-point block is empty: no likelihood pass, no MH
@@ -225,7 +226,7 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     delta_draws = np.empty((S, m_free))
     accepted = 0
     half_prec = 0.5 / prior.delta_var
-    lower, upper = _latent_bounds(delta, y, debug)
+    lower, upper = _latent_bounds(delta, y)
     xb = X @ beta
     if m_free:
         moved = np.flatnonzero(y >= 2)  # rows with a bound among the free cut-points
@@ -249,12 +250,10 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
             if rng.uniform() < math.exp(min(0.0, log_ratio)):
                 delta, cur_prior = proposal, prop_prior  # cur_logp is refreshed below
                 accepted += 1
-                lower, upper = _latent_bounds(delta, y, debug)
+                lower, upper = _latent_bounds(delta, y)
 
         # latent utilities, then the coefficient block
         z = trunc_norm_draws(xb, lower, upper, rng)
-        if debug:
-            assert np.all(lower < z) and np.all(z <= upper)
         beta = draw_beta(z, rng)
         xb = X @ beta
         if m_free:
@@ -267,7 +266,6 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
         beta=beta_draws, delta=delta_draws,
         param_names=list(data.column_names) + _delta_names(data.J),
         burn=burn, accept_rate=accepted / S if m_free else None, seed=seed,
-        latent_z=z if z.size else None,
     )
 
 

@@ -90,7 +90,8 @@ def _load_dataset(args: argparse.Namespace):
     return dataset, schema, report
 
 
-def _fit(args: argparse.Namespace):
+def _model(args: argparse.Namespace):
+    """The fit options, the encoded data and the model to fit to it."""
     # a bad setting fails before the data is read
     opts = FitOptions(max_iter=args.max_iter, grad_tol=args.tol)
     dataset, schema, report = _load_dataset(args)
@@ -98,8 +99,7 @@ def _fit(args: argparse.Namespace):
         family=family_for(args.family, dataset.J), link=args.link, J=dataset.J,
         k=dataset.X.shape[1], intercept="intercept" in dataset.column_names,
     )
-    fit = estimation.fit_ml(spec, dataset, opts)
-    return dataset, schema, report, fit
+    return opts, dataset, schema, report, spec
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -107,7 +107,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    dataset, schema, report, fit = _fit(args)
+    opts, dataset, schema, report, spec = _model(args)
+    fit = estimation.fit_ml(spec, dataset, opts)
     text = estimation.summary_table(fit, dataset.column_names)
     text += (
         f"rows: {report.n_raw} read, {report.n_dropped} dropped for missing values, "
@@ -133,7 +134,7 @@ def cmd_effects(args: argparse.Namespace) -> int:
         repeated = [n for i, n in enumerate(names) if n in names[:i]]
         if repeated:
             raise InputError(f"{option} names {repeated[0]!r} more than once")
-    dataset, schema, report, fit = _fit(args)
+    opts, dataset, schema, report, spec = _model(args)
     column_indices = None
     if columns:
         column_indices = []
@@ -141,14 +142,13 @@ def cmd_effects(args: argparse.Namespace) -> int:
             if name not in dataset.column_names:
                 raise InputError(f"unknown covariate {name!r}")
             column_indices.append(dataset.column_names.index(name))
-    # the intercept, or a scale on an indicator, is refused as a ColumnKindError
+    # a request the table cannot serve is refused before the fit
     scales = dict(args.scales)
+    effects_mod.check_request(spec, dataset, column_indices, scales)
+    fit = estimation.fit_ml(spec, dataset, opts)
     table = effects_mod.effects_table(
         fit.spec, fit.params, dataset, columns=column_indices, scales=scales,
     )
-    unknown_scales = set(scales) - {eff.name for eff in table.rows}
-    if unknown_scales:
-        raise InputError(f"--scale names unknown covariates: {sorted(unknown_scales)}")
 
     if args.pfilter is not None:
         pvals = {

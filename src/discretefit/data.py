@@ -2,12 +2,12 @@
 
 CSV input is parsed RFC-4180 style (header row required, quoted fields may
 contain commas and newlines, blank lines are skipped). Bytes are decoded as
-UTF-8; a leading byte-order mark is dropped. The table is held column by
-column: each column is one integer code per row plus its distinct cells in
-first-seen order, packed into one string, so a survey of a few answers per
-question costs a few bytes per cell. A schema config then drives the
-encoding, which strips, tests and converts each distinct raw cell of a
-used column once and gathers the results by code:
+UTF-8; a leading byte-order mark is dropped. The table is held as columns
+only, with no row view: each column is one integer code per row plus its
+distinct cells in first-seen order, packed into one string, so a survey of
+a few answers per question costs a few bytes per cell. A schema config then
+drives the encoding, which strips, tests and converts each distinct raw
+cell of a used column once and gathers the results by code:
 
 * rows carrying a missing-value token in the response or any used covariate
   are dropped (listwise deletion; the count is reported),
@@ -33,17 +33,17 @@ Schema files are flat ``key = value`` text with ``#`` comments::
     covariate.party = categorical:republican
 
 List values are comma separated and whitespace-trimmed; labels containing a
-comma are not supported. Covariates enter the design matrix in declaration
-order, after the intercept column when one is requested.
+comma are not supported. Each key other than ``covariate.<name>`` appears at
+most once, and no covariate names the response column. Covariates enter the
+design matrix in declaration order, after the intercept column when one is
+requested.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 
@@ -69,8 +69,9 @@ KIND_LOG = "log"
 KIND_CATEGORICAL = "categorical"
 
 
-class Cells(Sequence):
-    """Text cells packed into one string plus end offsets.
+class Cells:
+    """Text cells packed into one string plus end offsets; ``tolist``
+    unpacks them.
 
     A column of distinct ids or amounts costs its characters and 8 bytes per
     cell, not one Python string (about 55 bytes) per cell. Those strings
@@ -82,14 +83,6 @@ class Cells(Sequence):
         self.text = "".join(cells)
         self.ends = np.cumsum([len(cell) for cell in cells], dtype=np.int64)
 
-    def __len__(self) -> int:
-        return self.ends.size
-
-    def __getitem__(self, k: int) -> str:
-        k = range(len(self))[k]  # a negative k counts from the end
-        start = self.ends[k - 1] if k else 0
-        return self.text[start:self.ends[k]]
-
     def tolist(self) -> list[str]:
         text, ends = self.text, self.ends.tolist()
         return [text[start:end] for start, end in zip([0] + ends, ends)]
@@ -97,7 +90,7 @@ class Cells(Sequence):
 
 @dataclass(eq=False)
 class RawTable:
-    """Rectangular grid of text cells with a header, held column by column.
+    """Rectangular grid of text cells with a header, held as columns only.
 
     Column ``j`` is ``codes[j]``, one integer per row, indexing the column's
     distinct cells ``cells[j]`` (first-seen order): row ``i`` holds
@@ -111,13 +104,6 @@ class RawTable:
     @property
     def n_raw(self) -> int:
         return self.codes[0].size if self.codes else 0
-
-    @cached_property
-    def rows(self) -> list[list[str]]:
-        """The table as one list of cells per row, built on first use."""
-        columns = [list(map(cells.tolist().__getitem__, codes.tolist()))
-                   for codes, cells in zip(self.codes, self.cells)]
-        return [list(row) for row in zip(*columns)]
 
     def column_index(self, name: str) -> int:
         count = self.columns.count(name)
@@ -160,6 +146,10 @@ class SchemaConfig:
             raise SchemaError("response labels must be distinct")
         seen = set()
         for cov in self.covariates:
+            if not cov.name:
+                raise SchemaError("covariate name is empty")
+            if cov.name == self.response:
+                raise SchemaError(f"covariate {cov.name!r} is the response column")
             if cov.name == "intercept":
                 raise SchemaError("covariate name 'intercept' is reserved for the design's "
                                   "intercept column; rename that data column")
@@ -178,6 +168,7 @@ class SchemaConfig:
         missing: list[str] = []
         covariates: list[Covariate] = []
         intercept = True
+        key_lines: dict[str, int] = {}  # line of each single-valued key
         for lineno, raw_line in enumerate(text.splitlines(), start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:
@@ -185,6 +176,11 @@ class SchemaConfig:
             if "=" not in line:
                 raise SchemaError(f"schema line {lineno}: expected 'key = value', got {raw_line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in key_lines:
+                raise SchemaError(
+                    f"schema line {lineno}: key {key!r} repeats line {key_lines[key]}")
+            if key in ("response", "labels", "missing", "intercept"):
+                key_lines[key] = lineno
             if key == "response":
                 response = value
             elif key == "labels":
@@ -478,15 +474,6 @@ def simulate_dataset(spec, beta, cutpoints, n: int, rng: np.random.Generator) ->
     return Dataset(y=y, X=X, column_names=names, J=spec.J)
 
 
-def write_csv(path, columns: list[str], rows) -> None:
-    """Write rows (iterable of sequences) as RFC-4180 CSV with a header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
-
-
 # the response column that dataset_to_csv writes and identity_schema reads
 _RESPONSE_COLUMN = "y"
 
@@ -499,12 +486,11 @@ def dataset_to_csv(path, data: Dataset) -> None:
     """
     skip = [i for i, name in enumerate(data.column_names) if name == "intercept"]
     keep = [i for i in range(data.X.shape[1]) if i not in skip]
-    columns = [_RESPONSE_COLUMN] + [data.column_names[i] for i in keep]
-    rows = (
-        [str(int(data.y[r]))] + [repr(float(data.X[r, c])) for c in keep]
-        for r in range(data.n)
-    )
-    write_csv(path, columns, rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([_RESPONSE_COLUMN] + [data.column_names[i] for i in keep])
+        for r in range(data.n):
+            writer.writerow([str(int(data.y[r]))] + [repr(float(data.X[r, c])) for c in keep])
 
 
 def identity_schema(data: Dataset) -> SchemaConfig:

@@ -59,7 +59,7 @@ class Link(str, enum.Enum):
         w = np.asarray(w, dtype=float)
         if self is Link.PROBIT:
             return special.ndtr(w)
-        return _logistic_cdf_raw(w)
+        return _logistic_cdf(w, _exp_neg_abs(w))
 
     def pdf(self, w):
         w = np.asarray(w, dtype=float)
@@ -141,12 +141,6 @@ def logistic_log_pdf_cdf(w) -> tuple[np.ndarray, np.ndarray]:
     return _logistic_log_pdf(w, np.log1p(e)), _logistic_cdf(w, e)
 
 
-def _logistic_cdf_raw(w: np.ndarray) -> np.ndarray:
-    """Logistic cdf, safe for the whole double range."""
-    w = np.asarray(w, dtype=float)
-    return _logistic_cdf(w, _exp_neg_abs(w))
-
-
 def norm_cdf(w):
     """Standard normal cdf Phi(w). Input must be finite."""
     return _finite_kernel(Link.PROBIT.cdf, w)
@@ -187,14 +181,15 @@ def _upper_tail_draw(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -special.ndtri_exp(log_tail)
 
 
-def trunc_norm_draws(mean, lower, upper, rng: np.random.Generator, size=None):
+def trunc_norm_draws(mean, lower, upper, rng: np.random.Generator):
     """Vectorized unit-variance truncated-normal draws on (lower, upper].
 
-    ``mean``, ``lower`` and ``upper`` broadcast against each other; each draw
-    consumes exactly one uniform from ``rng`` so streams stay aligned no
-    matter which branch an element takes. The inverse-cdf formula runs on
-    every element; only the elements whose interval lies beyond
-    ``_TAIL_SPLIT`` are then redrawn, from the same uniform, in log space.
+    ``mean``, ``lower`` and ``upper`` broadcast against each other, and their
+    broadcast shape is the shape of the result; each draw consumes exactly
+    one uniform from ``rng`` so streams stay aligned no matter which branch
+    an element takes. The inverse-cdf formula runs on every element; only
+    the elements whose interval lies beyond ``_TAIL_SPLIT`` are then
+    redrawn, from the same uniform, in log space.
     """
     mean = np.asarray(mean, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -204,8 +199,6 @@ def trunc_norm_draws(mean, lower, upper, rng: np.random.Generator, size=None):
     if not np.all(lower < upper):
         raise ValueError("require lower < upper for every element")
     shape = np.broadcast_shapes(mean.shape, lower.shape, upper.shape)
-    if size is not None:
-        shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)) if not isinstance(size, tuple) else size)
 
     a = np.broadcast_to(lower - mean, shape)  # read-only views, never copied
     b = np.broadcast_to(upper - mean, shape)

@@ -127,15 +127,13 @@ def ce_indicator(spec: ModelSpec, params: ParamVector, data: Dataset, m: int) ->
     return _effects(spec, params, data, [m], [KIND_INDICATOR])[0]
 
 
-def covariate_effect(spec: ModelSpec, params: ParamVector, data: Dataset, idx: int) -> CovariateEffect:
-    """Dispatch on the column's observed kind (0/1 values -> indicator)."""
-    return _effects(spec, params, data, [idx], [_column_kind(spec, data, idx)])[0]
-
-
-def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
-                  columns: list[int] | None = None,
-                  scales: dict[str, float] | None = None) -> EffectsTable:
-    """Average effects for the requested columns (default: all but intercept)."""
+def check_request(spec: ModelSpec, data: Dataset, columns: list[int] | None = None,
+                  scales: dict[str, float] | None = None) -> tuple[list[int], list[str]]:
+    """The design columns an effects table reports (default: all but the
+    intercept) and their kinds, after refusing what it cannot report: the
+    intercept, a column out of range, a scale on an indicator and a scale
+    on a column not reported. Needs only the design, not the fit.
+    """
     scales = scales or {}
     if columns is None:
         columns = [i for i in range(spec.k) if i != _intercept_index(spec)]
@@ -148,6 +146,19 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
                 f"not {data.column_names[idx]!r}"
             )
         kinds.append(kind)
+    unknown_scales = set(scales) - {data.column_names[idx] for idx in columns}
+    if unknown_scales:
+        raise ValueError(f"--scale names unknown covariates: {sorted(unknown_scales)}")
+    return columns, kinds
+
+
+def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
+                  columns: list[int] | None = None,
+                  scales: dict[str, float] | None = None) -> EffectsTable:
+    """Average effects for the requested columns (default: all but intercept),
+    as ``check_request`` admits them."""
+    scales = scales or {}
+    columns, kinds = check_request(spec, data, columns, scales)
     rows = _effects(spec, params, data, columns, kinds)
     for eff in rows:
         eff.scale = float(scales.get(eff.name, 1.0))

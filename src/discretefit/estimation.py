@@ -145,7 +145,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
         return lk._loglik_pass(spec, ParamVector.from_flat(t, k), data)
 
     ll, clamps, state = loglik_pass(theta)
-    grad, H = lk._derivative_pass(spec, data, state, 2)
+    grad, H = lk._derivative_pass(spec, data, state)
     history = [ll]
     iterations = 0
 
@@ -179,7 +179,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
         theta = accepted
         iterations = it
         ll, clamps = cand_ll, cand_clamps
-        grad, H = lk._derivative_pass(spec, data, state, 2)
+        grad, H = lk._derivative_pass(spec, data, state)
         history.append(ll)
 
         beta_max = float(np.max(np.abs(theta[:k])))

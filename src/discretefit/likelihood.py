@@ -236,9 +236,9 @@ def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
     return float(np.sum(logp)), n_clamped, (params, a, b, logp)
 
 
-def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
-    """Second stage of a pass: (gradient, Hessian or None) from the state of
-    ``_loglik_pass``; ``order`` 1 drops the Hessian.
+def _derivative_pass(spec: ModelSpec, data: Dataset, state):
+    """Second stage of a pass: (gradient, Hessian) from the state of
+    ``_loglik_pass``.
 
     Derivatives are taken with respect to the interval bounds, mapped
     through the (linear) bound Jacobian and then the exp-spacing chain rule;
@@ -247,8 +247,6 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
     X_blk' [X_blk w | r_a - r_b | cut-point weights] to a k x (k + J - 1)
     sum, which holds the beta-beta Hessian, the beta gradient and the
     beta-cut-point block, and its per-category sums to a (5, J + 2) one.
-    Both orders take the gradient from this one reduction, so it has the
-    same bits in either.
     """
     params, a, b, logp = state
     X, y, J, k = data.X, data.y, spec.J, spec.k
@@ -283,9 +281,6 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
     A = _spacing_jacobian(params.delta)
     grad_delta = A.T @ (r_b_by_cat[2:J] - r_a_by_cat[3:J + 1])
     grad = np.concatenate([acc[:, k], grad_delta])
-    if order == 1:
-        return grad, None
-
     H_gg = (np.diag(bb_by_cat[2:J] + aa_by_cat[3:J + 1])
             + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
     H_bd = -acc[:, k + 1:] @ A
@@ -293,22 +288,8 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state, order: int):
     return grad, 0.5 * (H + H.T)
 
 
-def _evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, order: int):
-    """One pass over the data: (loglik, clamp count, gradient, Hessian).
-
-    Runs ``_loglik_pass`` and, for ``order`` 1 or 2, ``_derivative_pass`` on
-    its state. ``order`` 0 returns only the log-likelihood and clamp count,
-    1 adds the gradient and 2 the Hessian; what is not requested is None.
-    """
-    ll, n_clamped, state = _loglik_pass(spec, params, data)
-    if order == 0:
-        return ll, n_clamped, None, None
-    grad, H = _derivative_pass(spec, data, state, order)
-    return ll, n_clamped, grad, H
-
-
 def _loglik_clamped(spec: ModelSpec, params: ParamVector, data: Dataset) -> tuple[float, int]:
-    return _evaluate(spec, params, data, 0)[:2]
+    return _loglik_pass(spec, params, data)[:2]
 
 
 def loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
@@ -331,12 +312,12 @@ def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndar
 
 def grad_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """Analytic gradient of ``loglik`` in (beta, delta) coordinates."""
-    return _evaluate(spec, params, data, 1)[2]
+    return _derivative_pass(spec, data, _loglik_pass(spec, params, data)[2])[0]
 
 
 def hess_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """Analytic Hessian of ``loglik`` in (beta, delta) coordinates."""
-    return _evaluate(spec, params, data, 2)[3]
+    return _derivative_pass(spec, data, _loglik_pass(spec, params, data)[2])[1]
 
 
 def initial_params(spec: ModelSpec, data: Dataset) -> ParamVector:

@@ -7,7 +7,8 @@ quantiles from bisection on the series, the logistic log-cdf and log-density
 from their definitions in 50-digit arithmetic, and chi-square tails from a
 direct series / continued-fraction evaluation of the regularized incomplete
 gamma.
-``encode_rowwise`` is a row-by-row reference for the schema encoder.
+``encode_rowwise`` is a row-by-row reference for the schema encoder; it
+reads the table through ``table_rows``, a row view the package does not keep.
 ``trunc_norm_draws_masked`` and ``gibbs_probit_reference`` are the earlier
 forms of the truncated-normal draws and of the probit sweep loop (masked
 branches, full likelihood passes, scipy's solve wrappers); they do use scipy
@@ -209,16 +210,24 @@ def ks_statistic(draws: np.ndarray, cdf) -> float:
     return float(max(upper, lower))
 
 
+def table_rows(raw):
+    """The cells of a ``RawTable`` as one list per row."""
+    columns = [list(map(cells.tolist().__getitem__, codes.tolist()))
+               for codes, cells in zip(raw.codes, raw.cells)]
+    return [list(row) for row in zip(*columns)]
+
+
 def encode_rowwise(raw, schema):
     """Row-by-row reference for ``discretefit.data.build_dataset``.
 
-    Reads only the plain attributes of the table (``columns``, ``rows``) and
+    Reads only the header and the row view (``columns``, ``table_rows``) and
     of the schema. Returns ``(X, y, names, (n_raw, n_dropped, n, warnings))``,
     or raises ValueError with the message the encoder gives for the input:
     unknown columns first, then missing base levels, then the first kept row
     with an unknown label, then each covariate's first faulty kept row.
     """
     missing = {tok.strip() for tok in schema.missing}
+    rows = table_rows(raw)
 
     def index(name):
         if name not in raw.columns:
@@ -231,7 +240,7 @@ def encode_rowwise(raw, schema):
     levels = {}
     for cov in schema.covariates:
         if cov.kind == "categorical":
-            observed = {row[cov_idx[cov.name]].strip() for row in raw.rows} - missing
+            observed = {row[cov_idx[cov.name]].strip() for row in rows} - missing
             if cov.base not in observed:
                 raise ValueError(
                     f"base level {cov.base!r} of covariate {cov.name!r} does not occur in the data"
@@ -239,7 +248,7 @@ def encode_rowwise(raw, schema):
             levels[cov.name] = sorted(observed - {cov.base})
 
     kept, y = [], []
-    for i, row in enumerate(raw.rows, start=1):
+    for i, row in enumerate(rows, start=1):
         cells = [row[resp_idx]] + [row[cov_idx[cov.name]] for cov in schema.covariates]
         if any(cell.strip() in missing for cell in cells):
             continue
@@ -256,7 +265,7 @@ def encode_rowwise(raw, schema):
         idx = cov_idx[cov.name]
         if cov.kind == "categorical":
             for level in levels[cov.name]:
-                indicator = [1.0 if raw.rows[i - 1][idx].strip() == level else 0.0 for i in kept]
+                indicator = [1.0 if rows[i - 1][idx].strip() == level else 0.0 for i in kept]
                 if kept and not any(indicator):
                     warnings.append(
                         f"level {level!r} of {cov.name!r} has no remaining observations; "
@@ -267,7 +276,7 @@ def encode_rowwise(raw, schema):
             continue
         values = []
         for i in kept:
-            cell = raw.rows[i - 1][idx].strip()
+            cell = rows[i - 1][idx].strip()
             where = f"row {i}, column {cov.name!r}"
             try:
                 value = float(cell)
@@ -284,19 +293,17 @@ def encode_rowwise(raw, schema):
         columns.append(values)
 
     X = np.array(columns, dtype=float).reshape(len(columns), len(kept)).T
-    n_raw = len(raw.rows)
+    n_raw = len(rows)
     return X, np.array(y, dtype=int), names, (n_raw, n_raw - len(kept), len(kept), warnings)
 
 
-def trunc_norm_draws_masked(mean, lower, upper, rng, size=None):
+def trunc_norm_draws_masked(mean, lower, upper, rng):
     """``trunc_norm_draws`` with each branch evaluated under its own mask on
     broadcast copies: the form it had before the whole-array formula."""
     mean = np.asarray(mean, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     shape = np.broadcast_shapes(mean.shape, lower.shape, upper.shape)
-    if size is not None:
-        shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)) if not isinstance(size, tuple) else size)
     a = np.broadcast_to(lower - mean, shape).copy()
     b = np.broadcast_to(upper - mean, shape).copy()
     u = rng.uniform(size=shape)
@@ -316,8 +323,7 @@ def trunc_norm_draws_masked(mean, lower, upper, rng, size=None):
     return out + np.broadcast_to(mean, shape)
 
 
-def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, debug=False,
-                           mh_step=0.0):
+def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, mh_step=0.0):
     """The probit sweep loop in its earlier form, for bit-for-bit checks.
 
     Two full ``loglik`` passes per ordinal sweep (the proposal, and the
@@ -348,7 +354,7 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, debug=Fa
     if m_free:
         cur_ll = lk.loglik(spec, lk.ParamVector(beta, delta), data)
         cur_prior = -half_prec * float(delta @ delta)
-    lower, upper = bayes._latent_bounds(delta, data.y, debug)
+    lower, upper = bayes._latent_bounds(delta, data.y)
     z = np.zeros(0)
     for s in range(S):
         if m_free:
@@ -360,7 +366,7 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, debug=Fa
                 delta = proposal
                 cur_ll, cur_prior = prop_ll, prop_prior
                 accepted += 1
-                lower, upper = bayes._latent_bounds(delta, data.y, debug)
+                lower, upper = bayes._latent_bounds(delta, data.y)
         if data.n:
             z = trunc_norm_draws_masked(data.X @ beta, lower, upper, rng)
         mean = linalg.cho_solve((L, True), P0b0 + data.X.T @ z)
@@ -373,7 +379,6 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, debug=Fa
         beta=beta_draws, delta=delta_draws,
         param_names=list(data.column_names) + bayes._delta_names(data.J),
         burn=burn, accept_rate=accepted / S if m_free else None, seed=seed,
-        latent_z=z if z.size else None,
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import discretefit
-from discretefit import bayes, data
+from discretefit import bayes, data, estimation
 from discretefit.cli import main
 
 
@@ -165,6 +165,24 @@ class TestFit:
                   "--out", tmp_path / "rep"])
         assert rc == 1
         assert "covariate name 'intercept' is reserved" in capsys.readouterr().err
+        assert not (tmp_path / "rep.txt").exists()
+
+    @pytest.mark.parametrize("name,message", [
+        ("y", "covariate 'y' is the response column"),
+        ("", "covariate name is empty"),
+    ])
+    def test_response_or_empty_covariate_name_is_refused(self, tmp_path, capsys, name, message):
+        rng = np.random.default_rng(6)
+        data_path = tmp_path / "d.csv"
+        y, blank, x = rng.standard_normal((3, 300))
+        rows = [f"{1 + (v > 0)},{w},{u}" for v, w, u in zip(y, blank, x)]
+        data_path.write_text("y,,x\n" + "\n".join(rows) + "\n")
+        schema_path = tmp_path / "d.schema"
+        schema_path.write_text(f"response = y\nlabels = 1, 2\ncovariate.{name} = continuous\n")
+        rc = run(["fit", "--data", data_path, "--schema", schema_path,
+                  "--out", tmp_path / "rep"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "rep.txt").exists()
 
     def test_separation_exits_1_with_diagnostic(self, tmp_path, capsys):
@@ -486,6 +504,33 @@ class TestFailFast:
                   "--out", tmp_path / "eff"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {option[0]} names {name!r} more than once\n"
+        assert not any(tmp_path.glob("eff.*"))
+
+    @pytest.mark.parametrize("option,message", [
+        (["--columns", "x,zzz"], "unknown covariate 'zzz'"),
+        (["--columns", "intercept"], "the intercept has no covariate effect"),
+        (["--scale", "zzz=2"], "--scale names unknown covariates: ['zzz']"),
+        (["--columns", "x", "--scale", "d=2"], "--scale names unknown covariates: ['d']"),
+        (["--scale", "d=2"], "scale multipliers apply to continuous covariates only, not 'd'"),
+    ])
+    def test_bad_effects_request_reported_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                                         option, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimation.fit_ml was called")
+
+        rng = np.random.default_rng(8)
+        data_path = tmp_path / "d.csv"
+        x, d, e = rng.standard_normal((3, 200))
+        rows = [f"{1 + (v + u > 0)},{v},{int(w > 0)}" for v, w, u in zip(x, d, e)]
+        data_path.write_text("y,x,d\n" + "\n".join(rows) + "\n")
+        schema_path = tmp_path / "d.schema"
+        schema_path.write_text("response = y\nlabels = 1, 2\n"
+                               "covariate.x = continuous\ncovariate.d = continuous\n")
+        monkeypatch.setattr(estimation, "fit_ml", refuse)
+        rc = run(["effects", "--data", data_path, "--schema", schema_path, *option,
+                  "--out", tmp_path / "eff"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.glob("eff.*"))
 
     def test_iteration_cap_below_one_reported_before_parsing(self, sim_files, tmp_path, capsys,

@@ -30,7 +30,7 @@ from discretefit.data import (
     schema_to_text,
 )
 
-from oracles import encode_rowwise, norm_cdf_float_oracle
+from oracles import encode_rowwise, norm_cdf_float_oracle, table_rows
 
 SURVEY_CSV = (
     "opinion,age,income,party,used\n"
@@ -59,16 +59,16 @@ class TestParseCsv:
     def test_basic(self):
         table = parse_csv(b"a,b\n1,2\n")
         assert table.columns == ["a", "b"]
-        assert table.rows == [["1", "2"]]
+        assert table_rows(table) == [["1", "2"]]
         assert table.n_raw == 1
 
     def test_quoted_field_with_comma(self):
         table = parse_csv('a,b\n"x,y",2\n')
-        assert table.rows[0][0] == "x,y"
+        assert table_rows(table)[0][0] == "x,y"
 
     def test_quoted_field_with_newline(self):
         table = parse_csv('a,b\n"line1\nline2",2\n')
-        assert table.rows[0][0] == "line1\nline2"
+        assert table_rows(table)[0][0] == "line1\nline2"
 
     def test_ragged_row_names_index(self):
         with pytest.raises(ParseError, match="row 2"):
@@ -92,7 +92,7 @@ class TestParseCsv:
 
     def test_header_only_table_has_no_rows(self):
         table = parse_csv(b"a,b\n")
-        assert (table.columns, table.rows, table.n_raw) == (["a", "b"], [], 0)
+        assert (table.columns, table_rows(table), table.n_raw) == (["a", "b"], [], 0)
 
     def test_carriage_return_line_endings_are_a_parse_error(self):
         with pytest.raises(ParseError, match="^header row: new-line character"):
@@ -131,9 +131,9 @@ class TestParseCsv:
         writer.writerows(rows)
         text = buffer.getvalue()
         table = parse_csv(text.encode("utf-8"))
-        assert table.rows == [row for row in csv.reader(io.StringIO(text)) if row][1:] == rows
+        assert table_rows(table) == [row for row in csv.reader(io.StringIO(text)) if row][1:] == rows
         assert table.n_raw == n
-        assert all(len(cells) == len(set(cells)) for cells in table.cells)
+        assert all(len(c.tolist()) == len(set(c.tolist())) for c in table.cells)
 
     def test_retained_and_peak_memory_are_a_small_multiple_of_the_input(self):
         # a 20,000-row survey: an id per row, integer answers and categorical ones
@@ -216,6 +216,31 @@ class TestSchemaConfig:
         text = (f"response = y\nlabels = a, b\nintercept = {intercept}\n"
                 "covariate.intercept = continuous\n")
         with pytest.raises(SchemaError, match="covariate name 'intercept' is reserved"):
+            SchemaConfig.from_text(text)
+
+    @pytest.mark.parametrize("name,message", [
+        ("y", "covariate 'y' is the response column"),
+        ("", "covariate name is empty"),
+    ])
+    def test_response_or_empty_covariate_name_rejected(self, name, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            SchemaConfig(response="y", labels=["a", "b"],
+                         covariates=[Covariate("x", "continuous"), Covariate(name, "continuous")])
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            SchemaConfig.from_text(f"response = y\nlabels = a, b\ncovariate.{name} = log\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("response = y\nlabels = a, b\nresponse = z\n",
+         "schema line 3: key 'response' repeats line 1"),
+        ("response = y\nlabels = x, y\n# a comment\nlabels = p, q, r\n",
+         "schema line 4: key 'labels' repeats line 2"),
+        ("response = y\nlabels = a, b\nmissing = na\ncovariate.x = log\nmissing = na\n",
+         "schema line 5: key 'missing' repeats line 3"),
+        ("intercept = true\nresponse = y\nlabels = a, b\nintercept = false\n",
+         "schema line 4: key 'intercept' repeats line 1"),
+    ], ids=["response", "labels", "missing", "intercept"])
+    def test_repeated_key_rejected_naming_its_line(self, text, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             SchemaConfig.from_text(text)
 
     def test_missing_required_keys(self):

@@ -16,7 +16,7 @@ from discretefit import (
     norm_pdf,
     trunc_norm_draws,
 )
-from discretefit.distributions import _logistic_cdf_raw, logistic_log_pdf_cdf
+from discretefit.distributions import logistic_log_pdf_cdf
 
 from oracles import (
     ks_statistic,
@@ -163,7 +163,6 @@ class TestLogisticKernelBits:
     @pytest.mark.parametrize("shape", [(-1,), (5, -1), (-1, 1)])
     def test_arrays(self, shape):
         w = self._inputs()[: 5 * 241].reshape(shape)
-        assert _same_bits(_logistic_cdf_raw(w), _sign_split_cdf(w))
         assert _same_bits(Link.LOGIT.cdf(w), _sign_split_cdf(w))
         assert _same_bits(Link.LOGIT.pdf(w), _sign_split_pdf(w))
         finite = np.where(np.isfinite(w), w, 0.0)
@@ -173,7 +172,7 @@ class TestLogisticKernelBits:
     def test_zero_dimensional(self):
         for v in self._inputs()[:60]:
             for w in (v, np.float64(v), np.array(v)):
-                assert _same_bits(_logistic_cdf_raw(w), _sign_split_cdf(w))
+                assert _same_bits(Link.LOGIT.cdf(w), _sign_split_cdf(w))
                 assert _same_bits(Link.LOGIT.pdf(w), _sign_split_pdf(w))
                 if math.isfinite(v):
                     for fn, ref in ((logistic_cdf, _sign_split_cdf), (logistic_pdf, _sign_split_pdf)):
@@ -183,7 +182,7 @@ class TestLogisticKernelBits:
 
     def test_empty(self):
         for w in (np.zeros(0), np.zeros((0, 3))):
-            assert _logistic_cdf_raw(w).shape == w.shape
+            assert Link.LOGIT.cdf(w).shape == w.shape
             assert Link.LOGIT.pdf(w).shape == w.shape
 
 
@@ -310,19 +309,19 @@ class TestLinkProperties:
 class TestTruncNormSample:
     def test_unconstrained_matches_standard_normal(self):
         rng = np.random.default_rng(101)
-        draws = trunc_norm_draws(0.0, -np.inf, np.inf, rng, size=100_000)
+        draws = trunc_norm_draws(np.zeros(100_000), -np.inf, np.inf, rng)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std() - 1.0) < 0.02
 
     def test_half_normal_mean(self):
         rng = np.random.default_rng(102)
-        draws = trunc_norm_draws(0.0, 0.0, np.inf, rng, size=100_000)
+        draws = trunc_norm_draws(np.zeros(100_000), 0.0, np.inf, rng)
         assert np.all(draws > 0.0)
         assert draws.mean() == pytest.approx(HALF_NORMAL_MEAN, abs=0.01)
 
     def test_far_tail_is_robust(self):
         rng = np.random.default_rng(103)
-        draws = np.array([trunc_norm_draws(2.0, 10.0, np.inf, rng, size=()) for _ in range(2000)])
+        draws = np.array([trunc_norm_draws(2.0, 10.0, np.inf, rng) for _ in range(2000)])
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 10.0)
         # conditional mean from the log-space tail oracle: 2 + phi(8)/Phi(-8)
@@ -336,7 +335,7 @@ class TestTruncNormSample:
     )
     def test_ks_against_truncated_cdf(self, mean, lower, upper):
         rng = np.random.default_rng(104)
-        draws = trunc_norm_draws(mean, lower, upper, rng, size=100_000)
+        draws = trunc_norm_draws(np.full(100_000, mean), lower, upper, rng)
         fa = norm_cdf_float_oracle(lower - mean) if np.isfinite(lower) else 0.0
         fb = norm_cdf_float_oracle(upper - mean) if np.isfinite(upper) else 1.0
 
@@ -347,21 +346,21 @@ class TestTruncNormSample:
         assert np.all(draws > lower) and np.all(draws <= upper)
 
     def test_deterministic_given_seed(self):
-        a = trunc_norm_draws(0.5, 0.0, 3.0, np.random.default_rng(7), size=50)
-        b = trunc_norm_draws(0.5, 0.0, 3.0, np.random.default_rng(7), size=50)
+        a = trunc_norm_draws(np.full(50, 0.5), 0.0, 3.0, np.random.default_rng(7))
+        b = trunc_norm_draws(np.full(50, 0.5), 0.0, 3.0, np.random.default_rng(7))
         assert np.array_equal(a, b)
-        s1 = trunc_norm_draws(0.0, -1.0, 1.0, np.random.default_rng(8), size=())
-        s2 = trunc_norm_draws(0.0, -1.0, 1.0, np.random.default_rng(8), size=())
+        s1 = trunc_norm_draws(0.0, -1.0, 1.0, np.random.default_rng(8))
+        s2 = trunc_norm_draws(0.0, -1.0, 1.0, np.random.default_rng(8))
         assert s1 == s2
 
     def test_empty_interval_rejected(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="require lower < upper"):
-            trunc_norm_draws(0.0, 1.0, 1.0, rng, size=())
+            trunc_norm_draws(0.0, 1.0, 1.0, rng)
         with pytest.raises(ValueError, match="require lower < upper"):
-            trunc_norm_draws(0.0, 2.0, -2.0, rng, size=())
+            trunc_norm_draws(0.0, 2.0, -2.0, rng)
         with pytest.raises(ValueError, match="mean must be finite"):
-            trunc_norm_draws(np.nan, 0.0, 1.0, rng, size=())
+            trunc_norm_draws(np.nan, 0.0, 1.0, rng)
 
 
 class TestTruncNormMatchesMaskedForm:
@@ -369,10 +368,10 @@ class TestTruncNormMatchesMaskedForm:
     and consumes the same uniforms."""
 
     @staticmethod
-    def _both(mean, lower, upper, size=None, seed=120):
+    def _both(mean, lower, upper, seed=120):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = trunc_norm_draws(mean, lower, upper, rng_new, size=size)
-        want = trunc_norm_draws_masked(mean, lower, upper, rng_ref, size=size)
+        got = trunc_norm_draws(mean, lower, upper, rng_new)
+        want = trunc_norm_draws_masked(mean, lower, upper, rng_ref)
         assert rng_new.uniform() == rng_ref.uniform()  # same stream position
         return got, want
 
@@ -393,17 +392,16 @@ class TestTruncNormMatchesMaskedForm:
 
     @pytest.mark.parametrize("lower,upper", [(-np.inf, -8.0), (-1.0, 2.0), (7.0, np.inf),
                                              (-np.inf, np.inf), (6.0, 6.5), (-6.5, -6.0)])
-    @pytest.mark.parametrize("size", [None, ()])
-    def test_zero_dimensional(self, lower, upper, size):
-        got, want = self._both(0.0, lower, upper, size=size)
+    def test_zero_dimensional(self, lower, upper):
+        got, want = self._both(0.0, lower, upper)
         assert np.ndim(got) == 0
         assert got == want
 
-    @pytest.mark.parametrize("size", [None, (3, 5, 4)])
-    def test_broadcast_shapes(self, size):
-        mean = np.linspace(-9.0, 9.0, 5)[:, None]
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_broadcast_shapes(self, lead):
+        mean = np.broadcast_to(np.linspace(-9.0, 9.0, 5)[:, None], lead + (5, 1))
         lower = np.array([-np.inf, -10.0, -2.0, 3.0])
         upper = np.array([-7.0, -4.0, 8.0, np.inf])
-        got, want = self._both(mean, lower[None, :], upper, size=size)
-        assert got.shape == (want.shape if size is None else size)
+        got, want = self._both(mean, lower[None, :], upper)
+        assert got.shape == lead + (5, 4)
         np.testing.assert_array_equal(got, want)

@@ -26,7 +26,7 @@ from discretefit import (
     predict_prob,
     simulate_dataset,
 )
-from discretefit.effects import covariate_effect, effects_report_dict, effects_text
+from discretefit.effects import effects_report_dict, effects_text
 
 PHI_0_DENSITY = 0.3989422804014327
 DELTA_PHI_0_1 = 0.3413447460685429  # Phi(1) - Phi(0), from the series oracle
@@ -330,13 +330,19 @@ class TestColumnIndexChecks:
     def test_out_of_range_index_named(self, idx):
         spec, data, params, _ = _mixed_instance(20, 3, Link.LOGIT, True, seed=8)
         with pytest.raises(ValueError, match=f"column index {idx} out of range"):
-            covariate_effect(spec, params, data, idx)
+            ce_continuous(spec, params, data, idx)
         with pytest.raises(ValueError, match=f"column index {idx} out of range"):
             effects_table(spec, params, data, columns=[1, idx])
 
     def test_intercept_refused_before_its_column_is_read(self):
         spec, data, params, _ = _mixed_instance(20, 3, Link.LOGIT, True, seed=9)
-        for call in (lambda: covariate_effect(spec, params, data, 0),
+        for call in (lambda: ce_continuous(spec, params, data, 0),
                      lambda: effects_table(spec, params, data, columns=[0])):
             with pytest.raises(ColumnKindError, match="the intercept has no covariate effect"):
                 call()
+
+    def test_scale_on_a_column_not_reported_refused(self):
+        spec, data, params, _ = _mixed_instance(20, 3, Link.LOGIT, True, seed=10)
+        for scales in ({"zzz": 2.0}, {"z": 2.0}):
+            with pytest.raises(ValueError, match="--scale names unknown covariates"):
+                effects_table(spec, params, data, columns=[1], scales=scales)

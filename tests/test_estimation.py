@@ -235,9 +235,9 @@ class TestPassCounts:
             calls["first"].append(out)
             return out
 
-        def recorded_derivative(spec, data, state, order):
+        def recorded_derivative(spec, data, state):
             calls["derivative"].append(state)
-            return derivative(spec, data, state, order)
+            return derivative(spec, data, state)
 
         monkeypatch.setattr(lk, "_loglik_pass", recorded_first)
         monkeypatch.setattr(lk, "_derivative_pass", recorded_derivative)
@@ -315,8 +315,8 @@ class TestNewtonBranches:
         spec, data = self._instance()
         derivative = lk._derivative_pass
 
-        def convex(spec, data, state, order):
-            grad, H = derivative(spec, data, state, order)
+        def convex(spec, data, state):
+            grad, H = derivative(spec, data, state)
             return grad, 1e40 * np.eye(H.shape[0])
 
         monkeypatch.setattr(lk, "_derivative_pass", convex)
@@ -349,8 +349,8 @@ class TestNewtonBranches:
         assert reference.converged
         derivative = lk._derivative_pass
 
-        def flipped_at_optimum(spec, data, state, order):
-            grad, H = derivative(spec, data, state, order)
+        def flipped_at_optimum(spec, data, state):
+            grad, H = derivative(spec, data, state)
             small = np.max(np.abs(grad)) < FitOptions.grad_tol
             return grad, (-H if small else H)
 

@@ -21,7 +21,7 @@ from discretefit import (
 )
 from discretefit import predict_prob
 from discretefit import likelihood as lk
-from discretefit.likelihood import _evaluate, _interval_logprob, score_matrix
+from discretefit.likelihood import _interval_logprob, score_matrix
 
 from oracles import (
     bound_terms_unblocked,
@@ -308,22 +308,19 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("family,J", [("binary", 2), ("ordinal", 3), ("ordinal", 5)])
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
-    def test_evaluate_orders_agree_with_public_kernels(self, family, J, link):
+    def test_stages_agree_with_public_kernels(self, family, J, link):
         spec, data = _random_instance(family, link, J=J, n=300, seed=41)
         params = ParamVector([0.2, -0.5, 0.3], np.linspace(-0.2, 0.3, J - 2))
-        ll0, clamps0, grad0, H0 = _evaluate(spec, params, data, 0)
-        ll1, clamps1, grad1, H1 = _evaluate(spec, params, data, 1)
-        ll2, clamps2, grad2, H2 = _evaluate(spec, params, data, 2)
-        assert grad0 is None and H0 is None and H1 is None
-        assert ll0 == ll1 == ll2 == loglik(spec, params, data)
-        assert clamps0 == clamps1 == clamps2 == 0
-        np.testing.assert_array_equal(grad1, grad2)
-        np.testing.assert_array_equal(grad1, grad_loglik(spec, params, data))
-        np.testing.assert_array_equal(H2, hess_loglik(spec, params, data))
+        ll, clamps, state = lk._loglik_pass(spec, params, data)
+        grad, H = lk._derivative_pass(spec, data, state)
+        assert ll == loglik(spec, params, data)
+        assert clamps == 0
+        np.testing.assert_array_equal(grad, grad_loglik(spec, params, data))
+        np.testing.assert_array_equal(H, hess_loglik(spec, params, data))
         # the per-observation scores sum to the gradient up to rounding
         scores = score_matrix(spec, params, data)
         assert scores.shape == (data.n, spec.n_params)
-        np.testing.assert_allclose(grad1, scores.sum(axis=0), rtol=1e-12, atol=1e-11)
+        np.testing.assert_allclose(grad, scores.sum(axis=0), rtol=1e-12, atol=1e-11)
 
     @pytest.mark.parametrize("family,J", [("binary", 2), ("ordinal", 3), ("ordinal", 5)])
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
@@ -408,10 +405,11 @@ class TestSharedExponentialDerivatives:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_gradient_and_hessian_bit_identical(self, link, J, monkeypatch):
         spec, params, data = _wide_instance(link, J, n=400, seed=70 + J)
-        _, _, grad, H = _evaluate(spec, params, data, 2)
+        state = lk._loglik_pass(spec, params, data)[2]
+        grad, H = lk._derivative_pass(spec, data, state)
         assert np.all(np.isfinite(H))
         monkeypatch.setattr(lk, "_bound_terms", _inline_bound_terms)
-        _, _, want_grad, want_H = _evaluate(spec, params, data, 2)
+        want_grad, want_H = lk._derivative_pass(spec, data, state)
         np.testing.assert_array_equal(grad, want_grad)
         np.testing.assert_array_equal(H, want_H)
 
@@ -428,10 +426,7 @@ class TestBlockedDerivativeStage:
     def test_matches_unblocked_formulas(self, link, J, n):
         spec, params, data = _wide_instance(link, J, n=n, seed=80 + J)
         state = lk._loglik_pass(spec, params, data)[2]
-        grad, H = lk._derivative_pass(spec, data, state, 2)
-        grad1, H1 = lk._derivative_pass(spec, data, state, 1)
-        assert H1 is None
-        np.testing.assert_array_equal(grad1, grad)
+        grad, H = lk._derivative_pass(spec, data, state)
         # relative in the max norm: an entry that cancels to near 0 keeps
         # the rounding of its largest terms
         for got, want in zip((grad, H), derivative_pass_unblocked(spec, data, state)):
@@ -454,7 +449,7 @@ class TestBlockedDerivativeStage:
             monkeypatch.setattr(Link, "log_pdf", recording(Link.log_pdf))
         else:
             monkeypatch.setattr(lk, "logistic_log_pdf_cdf", recording(lk.logistic_log_pdf_cdf))
-        lk._derivative_pass(spec, data, state, 2)
+        lk._derivative_pass(spec, data, state)
         w = np.concatenate(seen)
         assert np.all(np.isfinite(w))
         # one bound per end-category row, two per interior row
