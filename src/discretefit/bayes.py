@@ -12,13 +12,15 @@ full conditional N((B0^-1 + X'X)^-1 (B0^-1 b0 + X'z), (B0^-1 + X'X)^-1).
 Chains start from the share-quantile values of ``likelihood.initial_params``,
 or from zero when some category is unobserved.
 
-The sweep does only the work that can change a draw. It computes X beta once
-per coefficient draw; the latent draw and the per-row log-likelihood at the
-new beta both use it. A cut-point proposal moves no bound of a row with
-y = 1, whose interval is (-inf, 0], so the MH step re-evaluates only the
-rows with y >= 2 and sums them with the kept values of the others, which
-gives the bits of a full pass. The draws are the same as from full
-likelihood passes.
+The sweep does only the work that can change a draw, and carries no
+likelihood state from one sweep to the next. It computes X beta once per
+coefficient draw; the latent draw and the next cut-point block both use it.
+That block evaluates the per-row log-probabilities at the current
+(beta, delta) in one pass where it reads them, then writes the proposal's
+values over the rows with y >= 2 in place. A proposal moves no bound of a
+row with y = 1, whose interval is (-inf, 0], so the kept values of those
+rows and the new ones give the bits of a full pass at the proposal. The
+draws are the same as from full likelihood passes.
 
 The sweep runs no per-draw assertion and keeps no latent draws: the
 cut-points increase by construction, and ``trunc_norm_draws`` refuses an
@@ -200,9 +202,10 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     """The sweep loop shared by both samplers, for any J >= 2.
 
     With J = 2 the cut-point block is empty: no likelihood pass, no MH
-    draws (``mh_step`` is unused), and ``accept_rate`` is None. Otherwise
-    ``cur_logp`` holds the per-row log-probabilities at the current
-    (beta, delta), refreshed after each coefficient draw.
+    draws (``mh_step`` is unused), and ``accept_rate`` is None. Its
+    ``if m_free:`` is the loop's one J = 2 guard and keeps the random
+    stream: without it a J = 2 chain would draw an MH uniform each sweep.
+    No likelihood state is carried between sweeps.
     """
     if not S > burn >= 0:
         raise ValueError(f"need S > burn >= 0, got S = {S}, burn = {burn}")
@@ -226,29 +229,24 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     delta_draws = np.empty((S, m_free))
     accepted = 0
     half_prec = 0.5 / prior.delta_var
+    moved = np.flatnonzero(y >= 2)  # rows with a bound among the free cut-points
+    y_moved = y[moved]
     lower, upper = _latent_bounds(delta, y)
     xb = X @ beta
-    if m_free:
-        moved = np.flatnonzero(y >= 2)  # rows with a bound among the free cut-points
-        y_moved = y[moved]
-        cur_logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
-        cur_ll = float(np.sum(cur_logp))
-        cur_prior = -half_prec * float(delta @ delta)
 
     for s in range(S):
         # cut-point block: random-walk MH on the log spacings
         if m_free:
+            logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
+            cur = float(np.sum(logp)) - half_prec * float(delta @ delta)
             proposal = delta + mh_step * rng.standard_normal(m_free)
             gamma = lk.cutpoints_from_delta(proposal)
             xb_moved = xb[moved]
-            prop_logp = cur_logp.copy()
-            prop_logp[moved] = lk._interval_logprob(
+            logp[moved] = lk._interval_logprob(
                 Link.PROBIT, gamma[y_moved - 1] - xb_moved, gamma[y_moved] - xb_moved)[0]
-            prop_ll = float(np.sum(prop_logp))
-            prop_prior = -half_prec * float(proposal @ proposal)
-            log_ratio = (prop_ll + prop_prior) - (cur_ll + cur_prior)
-            if rng.uniform() < math.exp(min(0.0, log_ratio)):
-                delta, cur_prior = proposal, prop_prior  # cur_logp is refreshed below
+            prop = float(np.sum(logp)) - half_prec * float(proposal @ proposal)
+            if rng.uniform() < math.exp(min(0.0, prop - cur)):
+                delta = proposal
                 accepted += 1
                 lower, upper = _latent_bounds(delta, y)
 
@@ -256,9 +254,6 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
         z = trunc_norm_draws(xb, lower, upper, rng)
         beta = draw_beta(z, rng)
         xb = X @ beta
-        if m_free:
-            cur_logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
-            cur_ll = float(np.sum(cur_logp))
         beta_draws[s] = beta
         delta_draws[s] = delta
 

@@ -20,7 +20,8 @@ cell of a used column once and gathers the results by code:
   or named more than once in it, then a missing base level, then an unknown
   response label, then the covariates in declaration order; within a
   column, the first kept row whose cell is unparseable, non-finite or, for
-  ``log``, not positive.
+  ``log``, not positive; then, for a ``continuous`` column, values so large
+  that their sum of squares overflows.
 
 Schema files are flat ``key = value`` text with ``#`` comments::
 
@@ -34,9 +35,9 @@ Schema files are flat ``key = value`` text with ``#`` comments::
 
 List values are comma separated and whitespace-trimmed; labels containing a
 comma are not supported. Each key other than ``covariate.<name>`` appears at
-most once, and no covariate names the response column. Covariates enter the
-design matrix in declaration order, after the intercept column when one is
-requested.
+most once, no covariate names the response column, and no ``missing`` token
+is a response label. Covariates enter the design matrix in declaration
+order, after the intercept column when one is requested.
 """
 
 from __future__ import annotations
@@ -127,6 +128,14 @@ class Covariate:
             raise SchemaError(f"categorical covariate {self.name!r} needs a base level")
 
 
+def _refuse_missing_labels(labels: list[str], missing: list[str], where: str = "") -> None:
+    """Refuse a missing-value token that is also a response label: listwise
+    deletion would drop every row of that category."""
+    for token in missing:
+        if token.strip() in labels:
+            raise SchemaError(f"{where}missing token {token!r} is also a response label")
+
+
 @dataclass
 class SchemaConfig:
     """Encoding directives for one dataset."""
@@ -144,6 +153,7 @@ class SchemaConfig:
             raise SchemaError("need at least two response labels")
         if len(set(self.labels)) != len(self.labels):
             raise SchemaError("response labels must be distinct")
+        _refuse_missing_labels(self.labels, self.missing)
         seen = set()
         for cov in self.covariates:
             if not cov.name:
@@ -209,6 +219,7 @@ class SchemaConfig:
             raise SchemaError("schema is missing the 'response' key")
         if not labels:
             raise SchemaError("schema is missing the 'labels' key")
+        _refuse_missing_labels(labels, missing, f"schema line {key_lines.get('missing')}: ")
         return cls(response=response, labels=labels, missing=missing,
                    covariates=covariates, intercept=intercept)
 
@@ -426,6 +437,13 @@ def build_dataset(raw: RawTable, schema: SchemaConfig) -> tuple[Dataset, Encodin
             values = np.array([math.nan if skip else math.log(value)
                                for value, skip in zip(parsed, bad.tolist())])
         X[:, at] = values[codes]
+        if cov.kind == KIND_CONTINUOUS:
+            # finite sums of squares bound every entry of X'X; a log column's cannot overflow
+            with np.errstate(over="ignore"):
+                square_sum = X[:, at] @ X[:, at]
+            if not math.isfinite(square_sum):
+                raise EncodingError(f"column {cov.name!r}: values too large to fit, "
+                                    "their sum of squares overflows")
         names.append(cov.name)
 
     dataset = Dataset(y=y, X=X, column_names=names, J=schema.J)

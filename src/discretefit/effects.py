@@ -68,16 +68,16 @@ def _is_indicator(column: np.ndarray) -> bool:
     return bool(np.all((column == 0.0) | (column == 1.0)))
 
 
-def _intercept_index(spec: ModelSpec) -> int | None:
-    return 0 if spec.intercept else None
-
-
-def _column_kind(spec: ModelSpec, data: Dataset, idx: int) -> str:
-    """Kind of design column ``idx``, after checking that it has an effect."""
-    if idx == _intercept_index(spec):
+def _effect_column(spec: ModelSpec, idx: int) -> int:
+    """``idx``, after checking that design column ``idx`` has an effect."""
+    if spec.intercept and idx == 0:
         raise ColumnKindError("the intercept has no covariate effect")
     if not 0 <= idx < spec.k:
         raise ValueError(f"column index {idx} out of range")
+    return idx
+
+
+def _column_kind(data: Dataset, idx: int) -> str:
     return KIND_INDICATOR if _is_indicator(data.X[:, idx]) else KIND_CONTINUOUS
 
 
@@ -111,7 +111,7 @@ def _effects(spec: ModelSpec, params: ParamVector, data: Dataset,
 
 def ce_continuous(spec: ModelSpec, params: ParamVector, data: Dataset, l: int) -> CovariateEffect:
     """Marginal effect of continuous column ``l`` on every category probability."""
-    if _column_kind(spec, data, l) != KIND_CONTINUOUS:
+    if _column_kind(data, _effect_column(spec, l)) != KIND_CONTINUOUS:
         raise ColumnKindError(
             f"column {data.column_names[l]!r} is a 0/1 indicator; use ce_indicator"
         )
@@ -120,7 +120,7 @@ def ce_continuous(spec: ModelSpec, params: ParamVector, data: Dataset, l: int) -
 
 def ce_indicator(spec: ModelSpec, params: ParamVector, data: Dataset, m: int) -> CovariateEffect:
     """Effect of switching indicator column ``m`` from 0 to 1, everything else fixed."""
-    if _column_kind(spec, data, m) != KIND_INDICATOR:
+    if _column_kind(data, _effect_column(spec, m)) != KIND_INDICATOR:
         raise ColumnKindError(
             f"column {data.column_names[m]!r} takes values outside {{0, 1}}"
         )
@@ -128,28 +128,27 @@ def ce_indicator(spec: ModelSpec, params: ParamVector, data: Dataset, m: int) ->
 
 
 def check_request(spec: ModelSpec, data: Dataset, columns: list[int] | None = None,
-                  scales: dict[str, float] | None = None) -> tuple[list[int], list[str]]:
+                  scales: dict[str, float] | None = None) -> list[int]:
     """The design columns an effects table reports (default: all but the
-    intercept) and their kinds, after refusing what it cannot report: the
-    intercept, a column out of range, a scale on an indicator and a scale
-    on a column not reported. Needs only the design, not the fit.
+    intercept), after refusing what it cannot report: the intercept, a
+    column out of range, a scale on an indicator and a scale on a column
+    not reported. Needs only the design, not the fit, and reads a column's
+    values only when a scale other than 1 applies to it; the table
+    classifies each column it reports.
     """
     scales = scales or {}
     if columns is None:
-        columns = [i for i in range(spec.k) if i != _intercept_index(spec)]
-    kinds = []
+        columns = list(range(1 if spec.intercept else 0, spec.k))
     for idx in columns:
-        kind = _column_kind(spec, data, idx)
-        if float(scales.get(data.column_names[idx], 1.0)) != 1.0 and kind != KIND_CONTINUOUS:
+        name = data.column_names[_effect_column(spec, idx)]
+        if float(scales.get(name, 1.0)) != 1.0 and _is_indicator(data.X[:, idx]):
             raise ColumnKindError(
-                "scale multipliers apply to continuous covariates only, "
-                f"not {data.column_names[idx]!r}"
+                f"scale multipliers apply to continuous covariates only, not {name!r}"
             )
-        kinds.append(kind)
     unknown_scales = set(scales) - {data.column_names[idx] for idx in columns}
     if unknown_scales:
         raise ValueError(f"--scale names unknown covariates: {sorted(unknown_scales)}")
-    return columns, kinds
+    return columns
 
 
 def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
@@ -158,8 +157,8 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
     """Average effects for the requested columns (default: all but intercept),
     as ``check_request`` admits them."""
     scales = scales or {}
-    columns, kinds = check_request(spec, data, columns, scales)
-    rows = _effects(spec, params, data, columns, kinds)
+    columns = check_request(spec, data, columns, scales)
+    rows = _effects(spec, params, data, columns, [_column_kind(data, i) for i in columns])
     for eff in rows:
         eff.scale = float(scales.get(eff.name, 1.0))
     return EffectsTable(rows=rows, J=spec.J)

@@ -117,7 +117,8 @@ def _ridged_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> None:
+def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> np.ndarray:
+    """Refuse data the model cannot be fitted to; return the category counts."""
     counts = np.bincount(data.y, minlength=spec.J + 1)[1:spec.J + 1]
     for j, c in enumerate(counts, start=1):
         if c == 0:
@@ -128,12 +129,13 @@ def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> None:
         )
     if spec.intercept and not np.all(data.X[:, 0] == 1.0):
         raise EstimationError("spec declares an intercept but the first design column is not all ones")
-    nonzero = np.any(data.X != 0.0, axis=0)
+    nonzero = np.any(data.X, axis=0)
     if not np.all(nonzero):
         raise EstimationError(
             f"design column {data.column_names[int(np.argmin(nonzero))]!r} is zero in every "
             "observation; its coefficient cannot be estimated"
         )
+    return counts
 
 
 def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
@@ -147,9 +149,8 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
     ll, clamps, state = loglik_pass(theta)
     grad, H = lk._derivative_pass(spec, data, state)
     history = [ll]
-    iterations = 0
 
-    for it in range(1, opts.max_iter + 1):
+    for _ in range(opts.max_iter):
         if np.max(np.abs(grad)) < opts.grad_tol:
             break
 
@@ -162,22 +163,19 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
         slack = max(1e-12, _FULL_STEP_SLACK_ULPS * float(np.spacing(abs(ll))))
         # candidates are scored by the first stage alone; the accepted one's
         # state then yields the derivatives of the new iterate
-        accepted = None
         alpha = 1.0
         for halving in range(_MAX_HALVINGS + 1):
-            cand = theta + alpha * direction
+            step = alpha * direction
+            cand = theta + step
             cand_ll, cand_clamps, state = loglik_pass(cand)
             acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - slack)
             if math.isfinite(cand_ll) and acceptable:
-                accepted = cand
-                step_norm = float(np.max(np.abs(alpha * direction)))
                 break
             alpha *= 0.5
-        if accepted is None:
+        else:
             break
 
-        theta = accepted
-        iterations = it
+        theta = cand
         ll, clamps = cand_ll, cand_clamps
         grad, H = lk._derivative_pass(spec, data, state)
         history.append(ll)
@@ -189,12 +187,12 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
                 f"coefficient for {name!r} diverged past |30| while the log-likelihood is still "
                 "improving; the data appear to be perfectly separated"
             )
-        if step_norm < _STEP_TOL:
+        if np.max(np.abs(step)) < _STEP_TOL:
             break
 
     factor = _neg_hessian_cholesky(H)
     converged = bool(np.max(np.abs(grad)) < opts.grad_tol) and factor is not None
-    return theta, ll, H, factor, clamps, iterations, converged, history
+    return theta, ll, H, factor, clamps, converged, history
 
 
 def _report_space_vcov(spec: ModelSpec, params: ParamVector, H: np.ndarray,
@@ -219,9 +217,9 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
     with ``converged=False`` and diagnostics intact.
     """
     opts = opts or FitOptions()
-    _validate_fit_inputs(spec, data)
+    counts = _validate_fit_inputs(spec, data)
 
-    theta, ll, H, factor, clamps, iterations, converged, history = _maximize(spec, data, opts)
+    theta, ll, H, factor, clamps, converged, history = _maximize(spec, data, opts)
     params = ParamVector.from_flat(theta, spec.k)
     vcov = _report_space_vcov(spec, params, H, factor)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
@@ -229,7 +227,6 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
     if spec.intercept and spec.k == 1:
         ll0 = ll
     else:
-        counts = np.bincount(data.y, minlength=spec.J + 1)[1:spec.J + 1]
         ll0 = float(np.sum(counts * np.log(counts / data.n)))
 
     lr_df = (spec.k - 1) if spec.intercept else spec.k
@@ -247,7 +244,7 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
         loglik_fit=ll, loglik_0=ll0,
         lr_stat=lr_stat, lr_df=lr_df, lr_pvalue=lr_pvalue,
         mcfadden_r2=r2, hit_rate=hr,
-        iterations=iterations, converged=converged,
+        iterations=len(history) - 1, converged=converged,
         clamp_count=clamps, n_obs=data.n, history=history,
     )
 

@@ -224,7 +224,8 @@ def encode_rowwise(raw, schema):
     of the schema. Returns ``(X, y, names, (n_raw, n_dropped, n, warnings))``,
     or raises ValueError with the message the encoder gives for the input:
     unknown columns first, then missing base levels, then the first kept row
-    with an unknown label, then each covariate's first faulty kept row.
+    with an unknown label, then each covariate's first faulty kept row or,
+    for a continuous one, a sum of squares that overflows.
     """
     missing = {tok.strip() for tok in schema.missing}
     rows = table_rows(raw)
@@ -289,6 +290,9 @@ def encode_rowwise(raw, schema):
                     raise ValueError(f"{where}: log transform of non-positive value {value}")
                 value = math.log(value)
             values.append(value)
+        if cov.kind == "continuous" and not math.isfinite(sum(v * v for v in values)):
+            raise ValueError(f"column {cov.name!r}: values too large to fit, "
+                             "their sum of squares overflows")
         names.append(cov.name)
         columns.append(values)
 

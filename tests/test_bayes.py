@@ -290,10 +290,10 @@ class TestSweepWorkCounts:
             log_cdf_elements["elements"] = 0
             gibbs_ordinal_probit(data, S=S, burn=1, mh_step=0.1, rng=44)
             counts.append(log_cdf_elements["elements"])
-        # the starting pass is n + n_interior; each sweep adds the proposal's
-        # moved rows and the refresh pass at the new beta
+        # each sweep makes one pass at the current (beta, delta) and one over
+        # the proposal's moved rows; no pass runs before the first sweep
         per_sweep = n + n_moved + 2 * n_interior
-        assert counts[0] == n + n_interior + 2 * per_sweep
+        assert counts[0] == 2 * per_sweep
         assert counts[1] - counts[0] == 3 * per_sweep
         assert per_sweep < 4 * n
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import discretefit
+import discretefit.effects as effects_module
 from discretefit import bayes, data, estimation
 from discretefit.cli import main
 
@@ -272,6 +273,17 @@ class TestEffects:
         assert "x2" not in names        # true slope 0: filtered at 5%
         text = (tmp_path / "eff.txt").read_text()
         assert "x1 (x10)" in text
+
+    def test_each_column_is_tested_for_0_1_values_once(self, sim_files, tmp_path, monkeypatch):
+        data_path, schema_path = sim_files
+        scanned = []
+        original = effects_module._is_indicator
+        monkeypatch.setattr(effects_module, "_is_indicator",
+                            lambda column: scanned.append(column) or original(column))
+        rc = run(["effects", "--data", data_path, "--schema", schema_path,
+                  "--out", tmp_path / "eff"])
+        assert rc == 0
+        assert len(scanned) == 2  # x1 and x2
 
     def test_requesting_intercept_is_input_error(self, sim_files, tmp_path, capsys):
         data_path, schema_path = sim_files
@@ -563,6 +575,52 @@ class TestFailFast:
         assert rc == 1
         assert "need at least 100 post-burn-in draws, have 50" in capsys.readouterr().err
         assert not any(tmp_path.glob("ch.*"))
+
+
+class TestRefusedByName:
+    """Hostile data or schemas exit 1 with one ``error:`` line that names the
+    fault, and write nothing."""
+
+    CHAIN = ["--draws", "200", "--burn", "50"]
+
+    @pytest.fixture
+    def sim4(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        assert run(["simulate", "--beta", "0.3,0.5", "--cutpoints", "0.8,1.6",
+                    "--n", "300", "--seed", "3", "--out", sim]) == 0
+        return sim, tmp_path / "sim.schema"
+
+    def _refused(self, tmp_path, capsys, argv):
+        rc = run([*argv, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert not any(tmp_path.glob("o.*"))
+        return err.splitlines()
+
+    @pytest.mark.parametrize("command", ["fit", "bayes"])
+    def test_missing_token_that_is_a_label(self, sim4, tmp_path, capsys, command):
+        sim, schema = sim4
+        assert "labels = 1, 2, 3, 4" in schema.read_text()
+        schema.write_text(schema.read_text() + "missing = 1\n")
+        chain = self.CHAIN if command == "bayes" else []
+        lines = self._refused(tmp_path, capsys,
+                              [command, "--data", sim, "--schema", schema, *chain])
+        assert lines == ["error: schema line 5: missing token '1' is also a response label"]
+
+    @pytest.mark.parametrize("command", ["fit", "effects", "bayes"])
+    def test_column_too_large_to_fit(self, sim4, tmp_path, capsys, recwarn, command):
+        sim, schema = sim4
+        header, *rows = sim.read_text().splitlines()
+        assert header == "y,x1"
+        rows[3] = rows[3].split(",")[0] + ",1e308"
+        rows[7] = rows[7].split(",")[0] + ",-1e308"
+        sim.write_text("\n".join([header, *rows]) + "\n")
+        chain = self.CHAIN if command == "bayes" else []
+        lines = self._refused(tmp_path, capsys,
+                              [command, "--data", sim, "--schema", schema, *chain])
+        assert lines == ["error: column 'x1': values too large to fit, "
+                         "their sum of squares overflows"]
+        assert not recwarn.list
 
 
 class TestReproducibility:

@@ -243,6 +243,23 @@ class TestSchemaConfig:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             SchemaConfig.from_text(text)
 
+    def test_missing_token_that_is_a_label_rejected(self):
+        message = "missing token '1' is also a response label"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            SchemaConfig(response="y", labels=["1", "2", "3"], missing=["na", "1"])
+        # missing tokens are stripped before the cells are compared with them
+        with pytest.raises(SchemaError, match="^missing token ' 2 ' is also a response label$"):
+            SchemaConfig(response="y", labels=["1", "2", "3"], missing=[" 2 "])
+
+    @pytest.mark.parametrize("text, line", [
+        ("response = y\nlabels = 1, 2, 3\nmissing = na, 1\n", 3),
+        ("missing = 1\nresponse = y\nlabels = 1, 2\n", 1),
+    ])
+    def test_missing_token_that_is_a_label_names_its_line(self, text, line):
+        message = f"schema line {line}: missing token '1' is also a response label"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            SchemaConfig.from_text(text)
+
     def test_missing_required_keys(self):
         with pytest.raises(SchemaError):
             SchemaConfig.from_text("labels = a, b\n")
@@ -373,6 +390,18 @@ class TestBuildDataset:
         message = f"row 2, column 'x': non-finite value {cell!r}"
         with pytest.raises(EncodingError, match=re.escape(message)):
             build_dataset(table, schema)
+
+    @pytest.mark.parametrize("cells", [("1e308", "-1e308"), ("1.2e154", "1.2e154")],
+                             ids=["square", "sum"])
+    def test_continuous_column_too_large_to_fit_is_named(self, cells, recwarn):
+        table = parse_csv("y,x\nA,1\n" + "".join(f"B,{cell}\n" for cell in cells))
+        schema = SchemaConfig(
+            response="y", labels=["A", "B"], covariates=[Covariate("x", "continuous")],
+        )
+        message = "column 'x': values too large to fit, their sum of squares overflows"
+        with pytest.raises(EncodingError, match=f"^{re.escape(message)}$"):
+            build_dataset(table, schema)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("csv_text, message", [
         ("y,x\nA,5\nB,-1\nA,abc\n", "row 2, column 'x': log transform of non-positive value -1.0"),
@@ -505,6 +534,20 @@ class TestRowwiseEquivalence:
         got, want = _encode_both(_table(rows), SchemaConfig.from_text(MESSY_SCHEMA))
         assert isinstance(got, str), "an injected fault went unreported"
         assert got == want
+
+    def test_huge_cells_give_the_reference_result(self):
+        rows = _messy_rows(3, n=60)
+        kept = [row for row in rows
+                if not {cell.strip() for cell in row[:6]} & {"don't know", "refused"}]
+        schema = SchemaConfig.from_text(MESSY_SCHEMA)
+        # income is a log covariate: its logs are small, so the encoding goes through
+        kept[4][2], kept[9][2] = "1e308", "1.7e308"
+        (data, _), (X, *_) = _encode_both(_table(rows), schema)
+        assert np.array_equal(data.X, X)
+        kept[4][3], kept[9][3] = "1e308", "-1e308"
+        got, want = _encode_both(_table(rows), schema)
+        message = "column 'household': values too large to fit, their sum of squares overflows"
+        assert got == want == message
 
     @pytest.mark.parametrize("text, message", [
         ("covariate.nope = continuous", "column 'nope' not present in the data"),

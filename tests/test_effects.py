@@ -325,6 +325,21 @@ class TestPredictProbCalls:
         assert calls[0] == 0
 
 
+@pytest.mark.parametrize("scales, scanned", [({}, []), ({"z": 1.0}, []), ({"z": 2.0}, [3])])
+def test_request_check_reads_only_scaled_columns(monkeypatch, scales, scanned):
+    """The table tests each column it reports for 0/1 values; the request
+    check before it tests only the columns a scale other than 1 applies to."""
+    spec, data, _, _ = _mixed_instance(60, 3, Link.LOGIT, True, seed=12)
+    read = []
+    original = effects_module._is_indicator
+    monkeypatch.setattr(effects_module, "_is_indicator",
+                        lambda column: read.append(column) or original(column))
+    assert effects_module.check_request(spec, data, None, scales) == [1, 2, 3, 4]
+    assert len(read) == len(scanned)
+    for column, idx in zip(read, scanned):
+        assert np.array_equal(column, data.X[:, idx])
+
+
 class TestColumnIndexChecks:
     @pytest.mark.parametrize("idx", [5, 6, 50, -1])
     def test_out_of_range_index_named(self, idx):
