@@ -9,8 +9,9 @@ this block is skipped. The sweep then draws the latent utilities z
 element-wise from normals truncated to the interval their observed category
 dictates, and the coefficient block from its conjugate multivariate normal
 full conditional N((B0^-1 + X'X)^-1 (B0^-1 b0 + X'z), (B0^-1 + X'X)^-1).
-Chains start from the share-quantile values of ``likelihood.initial_params``,
-or from zero when some category is unobserved.
+Chains count y once and start from the share-quantile values of
+``likelihood.initial_params``, or from zero when a category is unobserved.
+Every row interval comes from ``likelihood._bounds``, as in the Newton fit.
 
 The sweep does only the work that can change a draw, and carries no
 likelihood state from one sweep to the next. It computes X beta once per
@@ -40,7 +41,7 @@ import numpy as np
 from scipy import linalg
 
 from . import likelihood as lk
-from .data import Dataset
+from .data import Dataset, check_square_sums
 from .distributions import Link, trunc_norm_draws
 from .likelihood import FAMILY_ORDINAL, ModelSpec
 
@@ -123,7 +124,7 @@ def _check_lapack_info(routine: str, info: int) -> None:
         raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
 
 
-def _coef_sampler(X: np.ndarray, b0: np.ndarray, B0: np.ndarray):
+def _coef_sampler(data: Dataset, b0: np.ndarray, B0: np.ndarray):
     """Precompute the conjugate-normal pieces for the beta full conditional.
 
     A draw solves with the Cholesky factor L of the posterior precision by
@@ -131,10 +132,15 @@ def _coef_sampler(X: np.ndarray, b0: np.ndarray, B0: np.ndarray):
     once: the routines and the Fortran-ordered operands that ``cho_solve``
     and ``solve_triangular(L.T, ..., lower=False)`` reach, without their
     per-call conversions and finiteness checks. The inputs are checked once,
-    by ``PriorSpec.resolved`` and the Dataset.
+    by ``PriorSpec.resolved``, the Dataset and, for a column too large to
+    fit, the diagonal of X'X.
     """
+    X = data.X
     P0 = linalg.cho_solve(linalg.cho_factor(B0), np.eye(B0.shape[0]))
-    precision = P0 + X.T @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = X.T @ X
+    check_square_sums(data.column_names, np.diag(gram), ValueError)
+    precision = P0 + gram
     try:
         L = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError:
@@ -153,12 +159,6 @@ def _coef_sampler(X: np.ndarray, b0: np.ndarray, B0: np.ndarray):
         return mean + noise
 
     return draw
-
-
-def _latent_bounds(delta: np.ndarray, y: np.ndarray):
-    """Interval (gamma_{y-1}, gamma_y] of each latent utility."""
-    gamma = lk.cutpoints_from_delta(delta)
-    return gamma[y - 1], gamma[y]
 
 
 def _delta_names(J: int) -> list[str]:
@@ -192,8 +192,7 @@ def gibbs_ordinal_probit(data: Dataset, prior: PriorSpec | None = None,
         raise ValueError("J = 2 data is binary; use gibbs_binary_probit")
     if data.J < 3:
         raise ValueError("ordinal sampler needs J >= 3 categories")
-    if not (math.isfinite(mh_step) and mh_step > 0):
-        raise ValueError(f"mh_step must be positive and finite, got {mh_step}")
+    check_mh_step(mh_step)
     return _gibbs_probit(data, prior, S, burn, rng, mh_step)
 
 
@@ -214,15 +213,13 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     X, y = data.X, data.y
     k = X.shape[1]
     b0, B0 = prior.resolved(k)
-    draw_beta = _coef_sampler(X, b0, B0)
+    draw_beta = _coef_sampler(data, b0, B0)
     spec = ModelSpec(family=FAMILY_ORDINAL, link=Link.PROBIT, J=data.J, k=k,
                      intercept=np.all(X[:, :1] == 1.0))
-
-    try:
-        start = lk.initial_params(spec, data)
-        beta, delta = start.beta, start.delta
-    except ValueError:
-        beta, delta = np.zeros(k), np.zeros(data.J - 2)
+    counts = np.bincount(y, minlength=data.J + 1)[1:]
+    start = (lk.initial_params(spec, counts) if np.all(counts)
+             else lk.ParamVector(np.zeros(k), np.zeros(data.J - 2)))
+    beta, delta = start.beta, start.delta
 
     m_free = data.J - 2
     beta_draws = np.empty((S, k))
@@ -231,7 +228,7 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     half_prec = 0.5 / prior.delta_var
     moved = np.flatnonzero(y >= 2)  # rows with a bound among the free cut-points
     y_moved = y[moved]
-    lower, upper = _latent_bounds(delta, y)
+    lower, upper = lk._bounds(delta, y, 0.0)
     xb = X @ beta
 
     for s in range(S):
@@ -240,15 +237,13 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
             logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
             cur = float(np.sum(logp)) - half_prec * float(delta @ delta)
             proposal = delta + mh_step * rng.standard_normal(m_free)
-            gamma = lk.cutpoints_from_delta(proposal)
-            xb_moved = xb[moved]
             logp[moved] = lk._interval_logprob(
-                Link.PROBIT, gamma[y_moved - 1] - xb_moved, gamma[y_moved] - xb_moved)[0]
+                Link.PROBIT, *lk._bounds(proposal, y_moved, xb[moved]))[0]
             prop = float(np.sum(logp)) - half_prec * float(proposal @ proposal)
             if rng.uniform() < math.exp(min(0.0, prop - cur)):
                 delta = proposal
                 accepted += 1
-                lower, upper = _latent_bounds(delta, y)
+                lower, upper = lk._bounds(delta, y, 0.0)
 
         # latent utilities, then the coefficient block
         z = trunc_norm_draws(xb, lower, upper, rng)
@@ -262,6 +257,13 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
         param_names=list(data.column_names) + _delta_names(data.J),
         burn=burn, accept_rate=accepted / S if m_free else None, seed=seed,
     )
+
+
+def check_mh_step(mh_step: float) -> None:
+    """Raise ValueError unless ``mh_step`` can scale the cut-point random
+    walk; the command line runs it for every J, before it reads the data."""
+    if not (math.isfinite(mh_step) and mh_step > 0):
+        raise ValueError(f"mh_step must be positive and finite, got {mh_step}")
 
 
 _MIN_SUMMARY_DRAWS = 100

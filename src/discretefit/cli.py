@@ -195,8 +195,9 @@ def cmd_bayes(args: argparse.Namespace) -> int:
         raise InputError(
             f"the Gibbs sampler is probit-only; --link {args.link} is not supported"
         )
-    # refuse a chain too short to summarize before sampling it
+    # refuse a chain too short to summarize, or a bad step, before reading the data
     bayes.check_summary_draws(max(args.draws - args.burn, 0))
+    bayes.check_mh_step(args.mh_step)
     dataset, schema, report = _load_dataset(args)
     sample = (bayes.gibbs_binary_probit if family_for(args.family, dataset.J) == "binary"
               else partial(bayes.gibbs_ordinal_probit, mh_step=args.mh_step))

@@ -272,6 +272,15 @@ class EncodingReport:
     warnings: list[str] = field(default_factory=list)
 
 
+def check_square_sums(names, square_sums, error: type[Exception]) -> None:
+    """Refuse the first column whose sum of squares is not finite: finite
+    sums bound every entry of X'X."""
+    for name, square_sum in zip(names, square_sums):
+        if not math.isfinite(square_sum):
+            raise error(f"column {name!r}: values too large to fit, "
+                        "their sum of squares overflows")
+
+
 # Records read and encoded per step of parse_csv; a chunk's rows are the
 # only per-row Python lists alive at a time.
 _CHUNK_ROWS = 1024
@@ -437,13 +446,10 @@ def build_dataset(raw: RawTable, schema: SchemaConfig) -> tuple[Dataset, Encodin
             values = np.array([math.nan if skip else math.log(value)
                                for value, skip in zip(parsed, bad.tolist())])
         X[:, at] = values[codes]
-        if cov.kind == KIND_CONTINUOUS:
-            # finite sums of squares bound every entry of X'X; a log column's cannot overflow
+        if cov.kind == KIND_CONTINUOUS:  # a log column's sum of squares cannot overflow
             with np.errstate(over="ignore"):
                 square_sum = X[:, at] @ X[:, at]
-            if not math.isfinite(square_sum):
-                raise EncodingError(f"column {cov.name!r}: values too large to fit, "
-                                    "their sum of squares overflows")
+            check_square_sums([cov.name], [square_sum], EncodingError)
         names.append(cov.name)
 
     dataset = Dataset(y=y, X=X, column_names=names, J=schema.J)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import linalg, special
 
 from . import likelihood as lk
-from .data import Dataset
+from .data import Dataset, check_square_sums
 from .distributions import norm_cdf
 from .likelihood import ModelSpec, ParamVector
 
@@ -129,18 +129,21 @@ def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> np.ndarray:
         )
     if spec.intercept and not np.all(data.X[:, 0] == 1.0):
         raise EstimationError("spec declares an intercept but the first design column is not all ones")
-    nonzero = np.any(data.X, axis=0)
-    if not np.all(nonzero):
-        raise EstimationError(
-            f"design column {data.column_names[int(np.argmin(nonzero))]!r} is zero in every "
-            "observation; its coefficient cannot be estimated"
-        )
+    with np.errstate(over="ignore"):
+        square_sums = np.einsum("ij,ij->j", data.X, data.X)
+    check_square_sums(data.column_names, square_sums, EstimationError)
+    # squares of |x| < 1e-162 underflow to 0, so a zero sum is confirmed on its column
+    for j in np.flatnonzero(square_sums == 0.0):
+        if not np.any(data.X[:, j]):
+            raise EstimationError(
+                f"design column {data.column_names[j]!r} is zero in every observation; "
+                "its coefficient cannot be estimated"
+            )
     return counts
 
 
-def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions):
-    """Newton ascent; the last iterate comes with H and the factor of -H."""
-    theta = lk.initial_params(spec, data).flat
+def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, theta: np.ndarray):
+    """Newton ascent from ``theta``; the last iterate comes with H and the factor of -H."""
     k = spec.k
 
     def loglik_pass(t):
@@ -211,15 +214,16 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
     """Fit a binary/ordinal model by Newton ascent on the log-likelihood.
 
     Raises :class:`EstimationError` when a response category is absent, a
-    design column is zero in every row or the sample is smaller than the
-    parameter count, and :class:`SeparationError` when a coefficient
-    diverges. Non-convergence is not an exception: the result comes back
-    with ``converged=False`` and diagnostics intact.
+    design column is zero in every row or too large to fit, or the sample
+    is smaller than the parameter count, and :class:`SeparationError` when a
+    coefficient diverges. Non-convergence is not an exception: the result
+    comes back with ``converged=False`` and diagnostics intact.
     """
     opts = opts or FitOptions()
     counts = _validate_fit_inputs(spec, data)
 
-    theta, ll, H, factor, clamps, converged, history = _maximize(spec, data, opts)
+    theta, ll, H, factor, clamps, converged, history = _maximize(
+        spec, data, opts, lk.initial_params(spec, counts).flat)
     params = ParamVector.from_flat(theta, spec.k)
     vcov = _report_space_vcov(spec, params, H, factor)
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))

@@ -160,11 +160,11 @@ def _check_dimensions(spec: ModelSpec, params: ParamVector, data: Dataset) -> No
         raise ValueError(f"delta has length {params.delta.size}, expected J - 2 = {spec.J - 2}")
 
 
-def _bounds(params: ParamVector, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-observation (a, b) = (gamma_{y-1} - x'b, gamma_y - x'b)."""
-    gamma = cutpoints_from_delta(params.delta)
-    xb = data.X @ params.beta
-    return gamma[data.y - 1] - xb, gamma[data.y] - xb
+def _bounds(delta, y: np.ndarray, xb) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (a, b) = (gamma_{y-1} - xb, gamma_y - xb), the one gather of a
+    row's interval; with xb = 0 it is the latent utility's own interval."""
+    gamma = cutpoints_from_delta(delta)
+    return gamma[y - 1] - xb, gamma[y] - xb
 
 
 def cell_logprob(spec: ModelSpec, xb: float, j: int, gamma: np.ndarray) -> float:
@@ -231,7 +231,7 @@ def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
     log-probabilities, everything ``_derivative_pass`` needs.
     """
     _check_dimensions(spec, params, data)
-    a, b = _bounds(params, data)
+    a, b = _bounds(params.delta, data.y, data.X @ params.beta)
     logp, n_clamped = _interval_logprob(spec.link, a, b)
     return float(np.sum(logp)), n_clamped, (params, a, b, logp)
 
@@ -320,20 +320,17 @@ def hess_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarr
     return _derivative_pass(spec, data, _loglik_pass(spec, params, data)[2])[1]
 
 
-def initial_params(spec: ModelSpec, data: Dataset) -> ParamVector:
+def initial_params(spec: ModelSpec, counts: np.ndarray) -> ParamVector:
     """Starting values from the empirical cumulative category shares.
 
-    The intercept is set to the link quantile of the observed P(y > 1) and
-    the cut-point spacings to differences of share quantiles, so the start
-    is always interior and an intercept-only fit starts at its optimum.
+    ``counts`` holds the rows of each category 1..J, and every count must be
+    positive: the fit refuses an empty category and the sampler starts from
+    zero. The intercept is set to the link quantile of the observed P(y > 1)
+    and the cut-point spacings to differences of share quantiles, so the
+    start is interior and an intercept-only fit starts at its optimum.
     """
-    if data.n == 0:
-        raise ValueError("no observations to take starting values from")
-    counts = np.bincount(data.y, minlength=spec.J + 1)[1:]
-    cum_shares = np.cumsum(counts)[:-1] / data.n
-    if np.any(cum_shares <= 0.0) or np.any(cum_shares >= 1.0):
-        raise ValueError("every response category must appear at least once")
-    q = spec.link.quantile(cum_shares)
+    cum_counts = np.cumsum(counts)
+    q = spec.link.quantile(cum_counts[:-1] / cum_counts[-1])
     beta = np.zeros(spec.k)
     if spec.intercept:
         beta[0] = -q[0]

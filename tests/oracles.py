@@ -344,10 +344,11 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, mh_step=
     P0b0 = P0 @ b0
     spec = lk.ModelSpec(family=lk.FAMILY_ORDINAL, link=Link.PROBIT, J=data.J, k=k,
                         intercept=bool(data.n) and np.all(data.X[:, 0] == 1.0))
-    try:
-        start = lk.initial_params(spec, data)
+    counts = np.bincount(data.y, minlength=data.J + 1)[1:]
+    if np.all(counts):
+        start = lk.initial_params(spec, counts)
         beta, delta = start.beta, start.delta
-    except ValueError:
+    else:
         beta, delta = np.zeros(k), np.zeros(data.J - 2)
 
     m_free = data.J - 2
@@ -358,7 +359,7 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, mh_step=
     if m_free:
         cur_ll = lk.loglik(spec, lk.ParamVector(beta, delta), data)
         cur_prior = -half_prec * float(delta @ delta)
-    lower, upper = bayes._latent_bounds(delta, data.y)
+    lower, upper = lk._bounds(delta, data.y, 0.0)
     z = np.zeros(0)
     for s in range(S):
         if m_free:
@@ -370,7 +371,7 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, mh_step=
                 delta = proposal
                 cur_ll, cur_prior = prop_ll, prop_prior
                 accepted += 1
-                lower, upper = bayes._latent_bounds(delta, data.y)
+                lower, upper = lk._bounds(delta, data.y, 0.0)
         if data.n:
             z = trunc_norm_draws_masked(data.X @ beta, lower, upper, rng)
         mean = linalg.cho_solve((L, True), P0b0 + data.X.T @ z)

@@ -142,6 +142,16 @@ class TestOrdinalSampler:
         assert abs(delta.mean()) < 0.5
         assert abs(delta.var(ddof=1) - 25.0) < 4.0
 
+    def test_unobserved_middle_category_starts_from_zero(self):
+        # share quantiles would give the empty category a zero spacing
+        _, data = self._instance(n=300, seed=908)
+        data = Dataset(y=np.where(data.y == 2, 3, data.y), X=data.X,
+                       column_names=data.column_names, J=3)
+        chain = gibbs_ordinal_probit(data, S=50, burn=0, mh_step=0.1, rng=29)
+        want = gibbs_probit_reference(data, S=50, burn=0, mh_step=0.1, rng=29)
+        _assert_same_chain(chain, want)
+        assert np.all(np.isfinite(chain.delta))
+
     def test_mh_step_validated(self):
         _, data = self._instance(n=200)
         with pytest.raises(ValueError):
@@ -342,3 +352,11 @@ class TestNonFiniteSettingsRefused:
         data = _probit_instance(3, 300, seed=982)
         with pytest.raises(ValueError, match="mh_step"):
             gibbs_ordinal_probit(data, S=50, burn=0, mh_step=value, rng=48)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_column_too_large_to_fit_named(self, J):
+        data = _probit_instance(J, 300, seed=983)
+        data.X[3, 1], data.X[7, 1] = 1e308, -1e308
+        with pytest.raises(ValueError, match="^column 'x1': values too large to fit, "
+                                             "their sum of squares overflows$"):
+            _sample(data, S=50, burn=0, rng=49)

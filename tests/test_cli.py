@@ -186,6 +186,15 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "rep.txt").exists()
 
+    def test_intercept_only_fit_has_no_lr_test(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        assert run(["simulate", "--beta", "0.3,0.5", "--n", "200", "--out", sim]) == 0
+        schema = tmp_path / "sim.schema"
+        schema.write_text("response = y\nlabels = 1, 2\n")
+        assert run(["fit", "--data", sim, "--schema", schema, "--out", tmp_path / "rep"]) == 0
+        assert "LR chi2: not defined (no slope restrictions)\n" in (tmp_path / "rep.txt").read_text()
+        assert json.loads((tmp_path / "rep.json").read_text())["lr_stat"] is None
+
     def test_separation_exits_1_with_diagnostic(self, tmp_path, capsys):
         data = tmp_path / "sep.csv"
         lines = ["y,x"] + [f"1,{v}" for v in np.linspace(-2, -0.1, 20)] + \
@@ -439,6 +448,14 @@ class TestBayes:
         assert rc == 0
         assert json.loads((tmp_path / "ch.json").read_text())["accept_rate"] is None
 
+    def test_valid_mh_step_accepted_on_binary_data(self, tmp_path):
+        sim = tmp_path / "bin.csv"
+        assert run(["simulate", "--beta", "0.3,0.4", "--n", "200", "--out", sim]) == 0
+        rc = run(["bayes", "--data", sim, "--schema", tmp_path / "bin.schema",
+                  "--draws", "200", "--burn", "50", "--mh-step", "0.3", "--out", tmp_path / "ch"])
+        assert rc == 0
+        assert json.loads((tmp_path / "ch.json").read_text())["accept_rate"] is None
+
     def test_nonpositive_mh_step_is_input_error(self, sim_files, tmp_path, capsys):
         data_path, schema_path = sim_files
         rc = run([
@@ -545,6 +562,19 @@ class TestFailFast:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.glob("eff.*"))
 
+    @pytest.mark.parametrize("cutpoints", ["", "1.0"])
+    @pytest.mark.parametrize("step,shown", [("nan", "nan"), ("-5", "-5.0")])
+    def test_bad_mh_step_reported_before_parsing_for_every_J(self, tmp_path, capsys, no_parse,
+                                                             cutpoints, step, shown):
+        sim = tmp_path / "sim.csv"
+        assert run(["simulate", "--beta", "0.3,0.4", "--cutpoints", cutpoints,
+                    "--n", "300", "--out", sim]) == 0
+        rc = run(["bayes", "--data", sim, "--schema", tmp_path / "sim.schema",
+                  f"--mh-step={step}", "--out", tmp_path / "ch"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: mh_step must be positive and finite, got {shown}\n"
+        assert not any(tmp_path.glob("ch.*"))
+
     def test_iteration_cap_below_one_reported_before_parsing(self, sim_files, tmp_path, capsys,
                                                              no_parse):
         data_path, schema_path = sim_files
@@ -621,6 +651,34 @@ class TestRefusedByName:
         assert lines == ["error: column 'x1': values too large to fit, "
                          "their sum of squares overflows"]
         assert not recwarn.list
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--beta", "1,x"], "expected a comma-separated list of numbers, got '1,x'"),
+        (["effects", "--data", "DATA", "--schema", "SCHEMA", "--scale", "x1"],
+         "--scale expects <column>=<multiplier>, got 'x1'"),
+        (["effects", "--data", "DATA", "--schema", "SCHEMA", "--scale", "x1=abc"],
+         "--scale multiplier must be numeric, got 'x1=abc'"),
+        (["fit", "--schema", "SCHEMA"], "data path is required"),
+    ])
+    def test_malformed_option(self, sim4, tmp_path, capsys, argv, message):
+        paths = dict(zip(("DATA", "SCHEMA"), sim4))
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert self._refused(tmp_path, capsys, argv) == [f"error: {message}"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("response = y\nlabels = 1, 2\ncovariate.x1 = categorical:\n",
+         "categorical covariate 'x1' needs a base level"),
+        ("response =\nlabels = 1, 2\n", "schema must name a response column"),
+        ("response = y\nlabels = 1, 2\ncovariate.x1 = continuous\ncovariate.x1 = log\n",
+         "covariate 'x1' declared twice"),
+        ("response = y\nlabels = 1, 2\nintercept = maybe\n",
+         "schema line 3: intercept must be true or false"),
+    ])
+    def test_malformed_schema(self, sim4, tmp_path, capsys, text, message):
+        sim, schema = sim4
+        schema.write_text(text)
+        lines = self._refused(tmp_path, capsys, ["fit", "--data", sim, "--schema", schema])
+        assert lines == [f"error: {message}"]
 
 
 class TestReproducibility:

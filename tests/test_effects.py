@@ -153,6 +153,17 @@ class TestOddsRatio:
         with pytest.raises(UnsupportedLinkError):
             odds_ratio_logit(spec, ParamVector([0.0, 1.0]), 1)
 
+    def test_ordinal_family_rejected(self):
+        spec = ModelSpec("ordinal", Link.LOGIT, J=3, k=2, intercept=True)
+        with pytest.raises(UnsupportedLinkError,
+                           match="^odds_ratio_logit applies to the binary model$"):
+            odds_ratio_logit(spec, ParamVector([0.0, 1.0], [0.0]), 1)
+
+    @pytest.mark.parametrize("m", [-1, 2])
+    def test_column_index_out_of_range(self, m):
+        with pytest.raises(ValueError, match=f"^column index {m} out of range$"):
+            odds_ratio_logit(self._logit_spec(), ParamVector([0.0, 1.0]), m)
+
 
 class TestCumulativeOdds:
     def _spec(self, J=3):
@@ -193,6 +204,12 @@ class TestCumulativeOdds:
         spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=2, intercept=True)
         with pytest.raises(UnsupportedLinkError):
             cumulative_odds(spec, ParamVector([0.0, 0.0], [0.0]), [1.0, 0.0], 1)
+
+    def test_binary_family_rejected(self):
+        spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
+        with pytest.raises(UnsupportedLinkError,
+                           match="^cumulative_odds applies to the ordinal model$"):
+            cumulative_odds(spec, ParamVector([0.0, 0.0]), [1.0, 0.0], 1)
 
 
 class TestEffectsTable:

@@ -210,6 +210,22 @@ class TestOptimizerBehavior:
         with pytest.raises(EstimationError, match="'party=c' is zero in every observation"):
             fit_ml(spec, data)
 
+    def test_column_too_large_to_fit_named(self):
+        spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=2, intercept=True)
+        data = simulate_dataset(spec, [0.2, 0.5], [1.0], 300, np.random.default_rng(66))
+        data.X[3, 1], data.X[7, 1] = 1e308, -1e308
+        with pytest.raises(EstimationError, match="^column 'x1': values too large to fit, "
+                                                  "their sum of squares overflows$"):
+            fit_ml(spec, data)
+
+    def test_column_whose_squares_underflow_is_not_all_zero(self):
+        data = _intercept_data([30, 40], J=2)
+        data.X = np.column_stack([data.X[:, 0], np.full(data.n, 1e-170)])
+        data.column_names = ["intercept", "tiny"]
+        spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
+        counts = estimation._validate_fit_inputs(spec, data)
+        assert counts.tolist() == [30, 40]
+
     def test_vcov_symmetric_psd(self):
         rng = np.random.default_rng(64)
         spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=3, intercept=True)
@@ -262,10 +278,10 @@ class TestPassCounts:
     def test_halved_candidates_get_no_derivatives(self, monkeypatch):
         spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
         data = simulate_dataset(spec, [0.3, 0.5], [], 400, np.random.default_rng(5))
-        start = lk.initial_params(spec, data)
+        start = lk.initial_params(spec, np.bincount(data.y)[1:])
         # a slope far past the optimum makes the first Newton steps overshoot
         monkeypatch.setattr(lk, "initial_params",
-                            lambda spec, data: ParamVector([start.beta[0], 10.0]))
+                            lambda spec, counts: ParamVector([start.beta[0], 10.0]))
         calls = self._record_stages(monkeypatch)
         fit = fit_ml(spec, data)
         assert fit.converged
