@@ -23,9 +23,21 @@ row with y = 1, whose interval is (-inf, 0], so the kept values of those
 rows and the new ones give the bits of a full pass at the proposal. The
 draws are the same as from full likelihood passes.
 
-The sweep runs no per-draw assertion and keeps no latent draws: the
-cut-points increase by construction, and ``trunc_norm_draws`` refuses an
-empty interval.
+The latent block reads the chain's row structure, fixed by y, once per
+chain: the rows with y >= 2 have a finite lower bound and those with y < J
+a finite upper one. Its sampler (``distributions._trunc_norm_sampler``, the
+kernel of ``trunc_norm_draws``) takes the normal cdf at those bounds only,
+n + n_interior elements per sweep instead of 2n (n_interior counts the
+rows with 1 < y < J), and reuses its buffers
+from sweep to sweep; it reads the same uniforms and gives the same bits as
+``trunc_norm_draws``.
+
+The sweep keeps no latent draws and checks each input of the latent draw
+where it can change. X beta must be finite, every sweep. The cut-points
+increase by construction, yet a spacing that underflows to 0 or a cut-point
+that overflows to +inf would empty a category's interval; the bounds change
+only at the chain's start and at an accepted proposal, and there the
+refusal of ``trunc_norm_draws`` (lower < upper) runs on them.
 
 Default priors are weakly informative: beta ~ N(0, 100 I) and each log
 spacing ~ N(0, 25). With no data the samplers reproduce the prior.
@@ -42,7 +54,7 @@ from scipy import linalg
 
 from . import likelihood as lk
 from .data import Dataset, check_square_sums
-from .distributions import Link, trunc_norm_draws
+from .distributions import Link, _check_finite_mean, _check_intervals, _trunc_norm_sampler
 from .likelihood import FAMILY_ORDINAL, ModelSpec
 
 # chain length (burn-in included), burn-in, and the cut-point random-walk scale
@@ -206,8 +218,7 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     stream: without it a J = 2 chain would draw an MH uniform each sweep.
     No likelihood state is carried between sweeps.
     """
-    if not S > burn >= 0:
-        raise ValueError(f"need S > burn >= 0, got S = {S}, burn = {burn}")
+    check_chain_length(S, burn)
     prior = prior or PriorSpec()
     rng, seed = _resolve_rng(rng)
     X, y = data.X, data.y
@@ -226,9 +237,13 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     delta_draws = np.empty((S, m_free))
     accepted = 0
     half_prec = 0.5 / prior.delta_var
-    moved = np.flatnonzero(y >= 2)  # rows with a bound among the free cut-points
+    # the rows with a finite lower bound; with J > 2, also the rows with a
+    # bound among the free cut-points
+    moved = np.flatnonzero(y >= 2)
     y_moved = y[moved]
+    draw_latent = _trunc_norm_sampler(moved, np.flatnonzero(y < data.J), y.size)
     lower, upper = lk._bounds(delta, y, 0.0)
+    _check_intervals(lower, upper)
     xb = X @ beta
 
     for s in range(S):
@@ -244,9 +259,12 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
                 delta = proposal
                 accepted += 1
                 lower, upper = lk._bounds(delta, y, 0.0)
+                _check_intervals(lower, upper)
 
         # latent utilities, then the coefficient block
-        z = trunc_norm_draws(xb, lower, upper, rng)
+        _check_finite_mean(xb)
+        z = draw_latent(lower - xb, upper - xb, rng)
+        z += xb
         beta = draw_beta(z, rng)
         xb = X @ beta
         beta_draws[s] = beta
@@ -257,6 +275,13 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
         param_names=list(data.column_names) + _delta_names(data.J),
         burn=burn, accept_rate=accepted / S if m_free else None, seed=seed,
     )
+
+
+def check_chain_length(S: int, burn: int) -> None:
+    """Raise ValueError unless a chain of ``S`` draws can drop its first
+    ``burn``; the command line runs it before it reads the data."""
+    if not S > burn >= 0:
+        raise ValueError(f"need S > burn >= 0, got S = {S}, burn = {burn}")
 
 
 def check_mh_step(mh_step: float) -> None:

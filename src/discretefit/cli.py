@@ -72,6 +72,16 @@ def _parse_scale(pair: str) -> tuple[str, float]:
     return name.strip(), value
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _require_path(path: Path | None, what: str) -> Path:
     if path is None:
         raise InputError(f"{what} path is required")
@@ -196,7 +206,8 @@ def cmd_bayes(args: argparse.Namespace) -> int:
             f"the Gibbs sampler is probit-only; --link {args.link} is not supported"
         )
     # refuse a chain too short to summarize, or a bad step, before reading the data
-    bayes.check_summary_draws(max(args.draws - args.burn, 0))
+    bayes.check_chain_length(args.draws, args.burn)
+    bayes.check_summary_draws(args.draws - args.burn)
     bayes.check_mh_step(args.mh_step)
     dataset, schema, report = _load_dataset(args)
     sample = (bayes.gibbs_binary_probit if family_for(args.family, dataset.J) == "binary"
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bayes.add_argument("--burn", type=int, default=bayes.DEFAULT_BURN)
     p_bayes.add_argument("--mh-step", type=float, default=bayes.DEFAULT_MH_STEP)
     for p in (p_sim, p_bayes):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
 
     return parser
 

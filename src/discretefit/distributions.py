@@ -12,7 +12,9 @@ to max(-w, 0) or |w|. ``logistic_log_pdf_cdf`` gives the likelihood's
 derivative stage the log-density and the cdf from the same e. Truncated-normal
 draws use inverse-cdf sampling, switching to a log-domain formulation once
 the truncation interval sits beyond |6| standard deviations, where the naive
-inverse cdf loses all precision.
+inverse cdf loses all precision. One kernel, ``_trunc_norm_sampler``, holds
+that formula for ``trunc_norm_draws`` and for the Gibbs sweep; it takes the
+cdf at the finite bounds only, since it is exactly 0 at -inf and 1 at +inf.
 """
 
 from __future__ import annotations
@@ -181,38 +183,74 @@ def _upper_tail_draw(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -special.ndtri_exp(log_tail)
 
 
+def _check_finite_mean(mean: np.ndarray) -> None:
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean must be finite")
+
+
+def _check_intervals(lower: np.ndarray, upper: np.ndarray) -> None:
+    if not np.all(lower < upper):
+        raise ValueError("require lower < upper for every element")
+
+
+def _trunc_norm_sampler(lower_rows: np.ndarray, upper_rows: np.ndarray, n: int):
+    """Inverse-cdf draws on n standardized intervals (a, b] whose finite
+    bounds sit in fixed rows: ``lower_rows`` index the rows with a > -inf,
+    ``upper_rows`` those with b < +inf.
+
+    At an infinite bound the cdf is exactly 0 (lower) or 1 (upper), so
+    ``special.ndtr`` runs on those rows only; every other row keeps
+    Phi(-inf) = 0 in ``fa`` and Phi(+inf) = 1 in ``fb`` from one call to
+    the next. ``draw(a, b, rng)`` takes one uniform per row from ``rng``,
+    inverts p = fa + (1 - u)(fb - fa), and then redraws, from the same
+    uniform and in log space, the rows whose interval lies beyond
+    ``_TAIL_SPLIT``; one max or min per side finds whether any does. It
+    returns the draws in a buffer that the next call overwrites.
+    """
+    fa, fb = np.zeros(n), np.ones(n)
+    u, p = np.empty(n), np.empty(n)
+
+    def draw(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        fa[lower_rows] = special.ndtr(a[lower_rows])
+        fb[upper_rows] = special.ndtr(b[upper_rows])
+        rng.random(out=u)  # the stream of rng.uniform(size=n): 0 + 1 * x is x
+        np.subtract(1.0, u, out=p)
+        np.multiply(p, fb - fa, out=p)
+        np.add(p, fa, out=p)
+        np.minimum(p, _LARGEST_P_BELOW_1, out=p)
+        special.ndtri(p, out=p)
+        if a.max(initial=-np.inf) >= _TAIL_SPLIT:
+            right = a >= _TAIL_SPLIT
+            p[right] = _upper_tail_draw(a[right], b[right], u[right])
+        if b.min(initial=np.inf) <= -_TAIL_SPLIT:
+            left = b <= -_TAIL_SPLIT
+            p[left] = -_upper_tail_draw(-b[left], -a[left], u[left])
+        return p
+
+    return draw
+
+
 def trunc_norm_draws(mean, lower, upper, rng: np.random.Generator):
     """Vectorized unit-variance truncated-normal draws on (lower, upper].
 
     ``mean``, ``lower`` and ``upper`` broadcast against each other, and their
     broadcast shape is the shape of the result; each draw consumes exactly
     one uniform from ``rng`` so streams stay aligned no matter which branch
-    an element takes. The inverse-cdf formula runs on every element; only
-    the elements whose interval lies beyond ``_TAIL_SPLIT`` are then
-    redrawn, from the same uniform, in log space.
+    an element takes. Each call finds the elements whose standardized
+    lower bound is -inf and those whose upper bound is +inf, and draws
+    every element through ``_trunc_norm_sampler``: the cdf runs at the
+    other bounds only, the inverse-cdf formula on every element, and the
+    elements whose interval lies beyond ``_TAIL_SPLIT`` are then redrawn,
+    from the same uniform, in log space.
     """
     mean = np.asarray(mean, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if not np.all(np.isfinite(mean)):
-        raise ValueError("mean must be finite")
-    if not np.all(lower < upper):
-        raise ValueError("require lower < upper for every element")
+    _check_finite_mean(mean)
+    _check_intervals(lower, upper)
     shape = np.broadcast_shapes(mean.shape, lower.shape, upper.shape)
 
-    a = np.broadcast_to(lower - mean, shape)  # read-only views, never copied
-    b = np.broadcast_to(upper - mean, shape)
-    u = rng.uniform(size=shape)
-
-    fa = special.ndtr(a)
-    fb = special.ndtr(b)
-    p = fa + (1.0 - u) * (fb - fa)
-    out = np.asarray(special.ndtri(np.minimum(p, _LARGEST_P_BELOW_1)))  # writable, 0-d too
-    right = a >= _TAIL_SPLIT
-    left = b <= -_TAIL_SPLIT
-    if np.any(right):
-        out[right] = _upper_tail_draw(a[right], b[right], u[right])
-    if np.any(left):
-        out[left] = -_upper_tail_draw(-b[left], -a[left], u[left])
-
-    return out + mean
+    a = np.broadcast_to(lower - mean, shape).ravel()
+    b = np.broadcast_to(upper - mean, shape).ravel()
+    draw = _trunc_norm_sampler(np.flatnonzero(a != -np.inf), np.flatnonzero(b != np.inf), a.size)
+    return draw(a, b, rng).reshape(shape) + mean

@@ -87,7 +87,9 @@ def _effects(spec: ModelSpec, params: ParamVector, data: Dataset,
     X, beta = data.X, params.beta
     if KIND_CONTINUOUS in kinds:
         xb = X @ beta
-        dens = spec.link.pdf(params.cutpoints()[None, :] - xb[:, None])  # pdf 0 at the infinite ends
+        # the density is 0 at the infinite end cut-points; only the interior ones need it
+        dens = np.zeros((xb.size, spec.J + 1))
+        dens[:, 1:-1] = spec.link.pdf(params.cutpoints()[None, 1:-1] - xb[:, None])
         dens_diff = np.diff(dens, axis=1)
     if KIND_INDICATOR in kinds:
         work = X.copy()

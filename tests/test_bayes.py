@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy import special
 
 from discretefit import (
     ChainDraws,
@@ -18,6 +19,7 @@ from discretefit import (
     posterior_summary,
     simulate_dataset,
 )
+from discretefit import distributions
 from discretefit import likelihood as lk
 
 from oracles import gibbs_probit_reference
@@ -273,6 +275,31 @@ class TestSweepMatchesReference:
                                       mh_step=0.15 if J > 2 else 0.0)
         _assert_same_chain(got, want)
 
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_same_draws_with_latent_tails(self, J, monkeypatch):
+        # a tight prior holds beta near b0, where a few rows observed far on
+        # the wrong side of x'beta keep their latent intervals beyond +-6
+        data = _probit_instance(J, 300, seed=945 + J)
+        b0 = np.array([0.3, -0.8, 0.4])
+        data.X[np.flatnonzero(data.y == 1)[:3], 1] = -15.0   # x'beta near 12: b below -6
+        data.X[np.flatnonzero(data.y == J)[:3], 1] = 15.0    # x'beta near -12: a above 6
+        prior = PriorSpec(b0=b0, B0=1e-6 * np.eye(3))
+        tail_calls = [0]
+        original = distributions._upper_tail_draw
+
+        def counting(*args):
+            tail_calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(distributions, "_upper_tail_draw", counting)
+        got = _sample(data, prior=prior, S=80, burn=0, rng=44)
+        # both tails in every sweep after the first, which starts from the
+        # share-quantile intercept with the slopes at 0
+        assert tail_calls[0] == 2 * (80 - 1)
+        want = gibbs_probit_reference(data, prior=prior, S=80, burn=0, rng=44,
+                                      mh_step=0.15 if J > 2 else 0.0)
+        _assert_same_chain(got, want)
+
 
 @pytest.fixture
 def log_cdf_elements(monkeypatch):
@@ -315,6 +342,25 @@ class TestSweepWorkCounts:
         lk._loglik_pass(spec, lk.ParamVector([0.1, -0.4]), data)
         assert log_cdf_elements["elements"] == data.n
 
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    def test_latent_draw_takes_the_cdf_at_finite_bounds_only(self, J, monkeypatch):
+        # Phi is exactly 0 at a lower bound of -inf and 1 at an upper bound of
+        # +inf: per sweep one cdf per finite lower (y >= 2) and finite upper
+        # (y < J) bound, n + n_interior in all
+        data = _probit_instance(J, 400, seed=972 + J)
+        elements = [0]
+        original = special.ndtr
+
+        def counting(w, *args, **kwargs):
+            elements[0] += int(np.size(w))
+            return original(w, *args, **kwargs)
+
+        monkeypatch.setattr(special, "ndtr", counting)
+        _sample(data, S=7, burn=1, rng=46)
+        n_interior = int(np.sum((data.y > 1) & (data.y < J)))
+        assert elements[0] == 7 * (int(np.sum(data.y >= 2)) + int(np.sum(data.y < J)))
+        assert elements[0] == 7 * (data.n + n_interior)
+
     def test_binary_chain_makes_no_interval_pass(self, monkeypatch):
         def no_pass(*args, **kwargs):
             raise AssertionError("binary chain evaluated interval log-probabilities")
@@ -323,6 +369,38 @@ class TestSweepWorkCounts:
         monkeypatch.setattr(lk, "_interval_logprob", no_pass)
         chain = gibbs_binary_probit(data, S=60, burn=10, rng=45)
         assert chain.accept_rate is None
+
+
+class _AcceptEveryProposal:
+    """A seeded Generator whose scalar ``uniform()``, the MH acceptance
+    draw, is -1, so the sweep accepts every cut-point proposal."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self):
+        return -1.0
+
+
+class TestEmptyIntervalRefused:
+    """The latent bounds are checked where they change: at the chain's start
+    and at each accepted proposal. A cut-point spacing that underflows to 0,
+    or a cut-point that overflows to +inf, empties a category's interval."""
+
+    def test_at_the_start(self, monkeypatch):
+        data = _probit_instance(3, 200, seed=984)
+        monkeypatch.setattr(bayes.lk, "initial_params",
+                            lambda spec, counts: lk.ParamVector(np.zeros(3), [-800.0]))
+        with pytest.raises(ValueError, match="require lower < upper"):
+            gibbs_ordinal_probit(data, S=20, burn=0, rng=50)
+
+    def test_at_an_accepted_proposal(self):
+        data = _probit_instance(3, 200, seed=985)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="require lower < upper"):
+            gibbs_ordinal_probit(data, S=20, burn=0, mh_step=1e4, rng=_AcceptEveryProposal(51))
 
 
 class TestNonFiniteSettingsRefused:

@@ -575,6 +575,29 @@ class TestFailFast:
         assert capsys.readouterr().err == f"error: mh_step must be positive and finite, got {shown}\n"
         assert not any(tmp_path.glob("ch.*"))
 
+    @pytest.mark.parametrize("draws,burn", [("500", "-1"), ("300", "300")])
+    def test_bad_chain_length_reported_before_the_data_is_read(self, tmp_path, capsys, no_parse,
+                                                               draws, burn):
+        # a missing data file would otherwise be reported first
+        rc = run(["bayes", "--data", tmp_path / "absent.csv", "--schema", tmp_path / "absent.schema",
+                  "--draws", draws, "--burn", burn, "--out", tmp_path / "ch"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: need S > burn >= 0, got S = {draws}, burn = {burn}\n")
+        assert not any(tmp_path.glob("ch.*"))
+
+    @pytest.mark.parametrize("command", ["bayes", "simulate"])
+    def test_negative_seed_named_before_anything_is_read(self, sim_files, tmp_path, capsys,
+                                                          no_parse, command):
+        data_path, schema_path = sim_files
+        inputs = (["--data", data_path, "--schema", schema_path] if command == "bayes"
+                  else ["--beta", "0.3,0.4"])
+        rc = run([command, *inputs, "--seed", "-1", "--out", tmp_path / "o"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: argument --seed: must be a non-negative integer, got -1\n")
+        assert not any(tmp_path.glob("o*"))
+
     def test_iteration_cap_below_one_reported_before_parsing(self, sim_files, tmp_path, capsys,
                                                              no_parse):
         data_path, schema_path = sim_files

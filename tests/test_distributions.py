@@ -397,6 +397,22 @@ class TestTruncNormMatchesMaskedForm:
         assert np.ndim(got) == 0
         assert got == want
 
+    @pytest.mark.parametrize("mean,lower,upper", [
+        # both sides infinite: the cdf runs on no element
+        (np.array([0.0, -3.0, 7.0]), np.full(3, -np.inf), np.full(3, np.inf)),
+        # every element in one tail or the other, beyond +-6
+        (np.array([0.0, 1.0, -2.0, 0.5]), np.array([6.0, 9.0, -np.inf, -30.0]),
+         np.array([np.inf, 12.0, -8.5, -7.0])),
+        # a scalar mean over array bounds
+        (1.5, np.array([-np.inf, -3.0, 0.0, 8.0]), np.array([-6.0, 1.0, np.inf, np.inf])),
+        # n = 0
+        (np.zeros(0), np.zeros(0), np.ones(0)),
+    ])
+    def test_edge_inputs(self, mean, lower, upper):
+        got, want = self._both(mean, lower, upper)
+        assert got.shape == np.broadcast_shapes(np.shape(mean), lower.shape, upper.shape)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_broadcast_shapes(self, lead):
         mean = np.broadcast_to(np.linspace(-9.0, 9.0, 5)[:, None], lead + (5, 1))

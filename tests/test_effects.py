@@ -342,6 +342,24 @@ class TestPredictProbCalls:
         assert calls[0] == 0
 
 
+@pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+@pytest.mark.parametrize("J", [2, 4])
+def test_density_never_evaluated_at_an_infinite_cut_point(monkeypatch, link, J):
+    # f(+-inf) = 0 exactly, so the end cut-points need no density call
+    seen = []
+    original = Link.pdf
+
+    def recording(self, w):
+        seen.append(np.asarray(w))
+        return original(self, w)
+
+    monkeypatch.setattr(Link, "pdf", recording)
+    spec, data, params, _ = _mixed_instance(300, J, link, True, seed=8 + J)
+    effects_table(spec, params, data)
+    assert seen
+    assert all(np.all(np.isfinite(w)) for w in seen)
+
+
 @pytest.mark.parametrize("scales, scanned", [({}, []), ({"z": 1.0}, []), ({"z": 2.0}, [3])])
 def test_request_check_reads_only_scaled_columns(monkeypatch, scales, scanned):
     """The table tests each column it reports for 0/1 values; the request
