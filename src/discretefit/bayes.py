@@ -16,12 +16,20 @@ Every row interval comes from ``likelihood._bounds``, as in the Newton fit.
 The sweep does only the work that can change a draw, and carries no
 likelihood state from one sweep to the next. It computes X beta once per
 coefficient draw; the latent draw and the next cut-point block both use it.
-That block evaluates the per-row log-probabilities at the current
-(beta, delta) in one pass where it reads them, then writes the proposal's
-values over the rows with y >= 2 in place. A proposal moves no bound of a
-row with y = 1, whose interval is (-inf, 0], so the kept values of those
-rows and the new ones give the bits of a full pass at the proposal. The
-draws are the same as from full likelihood passes.
+A proposal moves no bound of a row with y = 1, whose interval is
+(-inf, 0], so that row's log-probability is the same at both cut-point
+vectors and cancels out of the acceptance ratio. The block therefore
+evaluates the rows with y >= 2 only, at the current delta and at the
+proposal, stacked into one pass of 2 (n_moved + n_interior) log-cdf
+elements; the current delta's moved-row bounds change only where the
+latent bounds do. The two sums are not log-likelihoods, but their
+difference is the log ratio of full passes up to the rounding of the sums,
+so the draws are those of full likelihood passes unless a uniform lands
+within that rounding of the acceptance probability. A proposal whose step,
+spacing, cut-point or prior term overflows has posterior density 0 (under
+the default prior, a log spacing past 709, where its spacing overflows,
+alone puts it below exp(-1e4)): it is rejected with no warning, and its
+acceptance uniform is still drawn, so the random stream is the same.
 
 The latent block reads the chain's row structure, fixed by y, once per
 chain: the rows with y >= 2 have a finite lower bound and those with y < J
@@ -216,7 +224,9 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     draws (``mh_step`` is unused), and ``accept_rate`` is None. Its
     ``if m_free:`` is the loop's one J = 2 guard and keeps the random
     stream: without it a J = 2 chain would draw an MH uniform each sweep.
-    No likelihood state is carried between sweeps.
+    No likelihood state is carried between sweeps; the moved rows' bounds
+    and the prior term at the current delta change only at an accepted
+    proposal, with the latent bounds.
     """
     check_chain_length(S, burn)
     prior = prior or PriorSpec()
@@ -244,22 +254,34 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     draw_latent = _trunc_norm_sampler(moved, np.flatnonzero(y < data.J), y.size)
     lower, upper = lk._bounds(delta, y, 0.0)
     _check_intervals(lower, upper)
+    lower_moved, upper_moved = lower[moved], upper[moved]
+    cur_prior = half_prec * float(delta @ delta)
     xb = X @ beta
 
     for s in range(S):
-        # cut-point block: random-walk MH on the log spacings
+        # cut-point block: random-walk MH on the log spacings, over the
+        # moved rows at the current delta and at the proposal in one pass
         if m_free:
-            logp = lk._interval_logprob(Link.PROBIT, lower - xb, upper - xb)[0]
-            cur = float(np.sum(logp)) - half_prec * float(delta @ delta)
-            proposal = delta + mh_step * rng.standard_normal(m_free)
-            logp[moved] = lk._interval_logprob(
-                Link.PROBIT, *lk._bounds(proposal, y_moved, xb[moved]))[0]
-            prop = float(np.sum(logp)) - half_prec * float(proposal @ proposal)
-            if rng.uniform() < math.exp(min(0.0, prop - cur)):
-                delta = proposal
-                accepted += 1
-                lower, upper = lk._bounds(delta, y, 0.0)
-                _check_intervals(lower, upper)
+            xb_moved = xb[moved]
+            try:
+                with np.errstate(over="raise"):
+                    proposal = delta + mh_step * rng.standard_normal(m_free)
+                    a_prop, b_prop = lk._bounds(proposal, y_moved, xb_moved)
+                    prop_prior = half_prec * float(proposal @ proposal)
+            except FloatingPointError:
+                rng.uniform()  # posterior density 0: rejected, same stream
+            else:
+                logp = lk._interval_logprob(
+                    Link.PROBIT, np.concatenate([lower_moved - xb_moved, a_prop]),
+                    np.concatenate([upper_moved - xb_moved, b_prop]))[0]
+                cur = float(np.sum(logp[:moved.size])) - cur_prior
+                prop = float(np.sum(logp[moved.size:])) - prop_prior
+                if rng.uniform() < math.exp(min(0.0, prop - cur)):
+                    delta, cur_prior = proposal, prop_prior
+                    accepted += 1
+                    lower, upper = lk._bounds(delta, y, 0.0)
+                    _check_intervals(lower, upper)
+                    lower_moved, upper_moved = lower[moved], upper[moved]
 
         # latent utilities, then the coefficient block
         _check_finite_mean(xb)

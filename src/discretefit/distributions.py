@@ -12,9 +12,13 @@ to max(-w, 0) or |w|. ``logistic_log_pdf_cdf`` gives the likelihood's
 derivative stage the log-density and the cdf from the same e. Truncated-normal
 draws use inverse-cdf sampling, switching to a log-domain formulation once
 the truncation interval sits beyond |6| standard deviations, where the naive
-inverse cdf loses all precision. One kernel, ``_trunc_norm_sampler``, holds
-that formula for ``trunc_norm_draws`` and for the Gibbs sweep; it takes the
-cdf at the finite bounds only, since it is exactly 0 at -inf and 1 at +inf.
+inverse cdf loses all precision. That formula has no floor on the log of
+the tail mass, since ``special.ndtri_exp`` stays accurate far below -745, so
+a draw lies inside its interval also past a bound of about 38.5, where
+that log falls below -745. One kernel,
+``_trunc_norm_sampler``, holds that formula for ``trunc_norm_draws`` and
+for the Gibbs sweep; it takes the cdf at the finite bounds only, since it
+is exactly 0 at -inf and 1 at +inf.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Standardized bound beyond which inverse-cdf sampling moves to the log domain.
 _TAIL_SPLIT = 6.0
 _LARGEST_P_BELOW_1 = np.nextafter(1.0, 0.0)
-_LOG_FLOOR = -745.0
 
 
 def _scalar_like(value: np.ndarray, reference) -> float | np.ndarray:
@@ -178,9 +181,9 @@ def _upper_tail_draw(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         ratio = np.exp(log_sb - log_sa)
     ratio = np.where(np.isneginf(log_sb), 0.0, ratio)
-    log_tail = log_sa + np.log1p(-(1.0 - u) * (1.0 - ratio))
-    log_tail = np.maximum(log_tail, _LOG_FLOOR)
-    return -special.ndtri_exp(log_tail)
+    # capped as p is on the main path: u = 0 with b = +inf would take log1p(-1)
+    tail_share = np.minimum((1.0 - u) * (1.0 - ratio), _LARGEST_P_BELOW_1)
+    return -special.ndtri_exp(log_sa + np.log1p(-tail_share))
 
 
 def _check_finite_mean(mean: np.ndarray) -> None:

@@ -300,6 +300,41 @@ class TestSweepMatchesReference:
                                       mh_step=0.15 if J > 2 else 0.0)
         _assert_same_chain(got, want)
 
+    @pytest.mark.parametrize("J", [3, 4])
+    def test_same_draws_with_clamped_rows(self, J, monkeypatch):
+        # rows near |x'beta| = 48: log-probabilities near -1160, below the
+        # -745 clamp, and latent intervals past where log Phi underflows
+        data = _probit_instance(J, 300, seed=955 + J)
+        b0 = np.array([0.3, -0.8, 0.4])
+        data.X[np.flatnonzero(data.y == 1)[:3], 1] = -60.0
+        data.X[np.flatnonzero(data.y == J)[:3], 1] = 60.0
+        prior = PriorSpec(b0=b0, B0=1e-6 * np.eye(3))
+        clamped, tail_bounds = [0], []
+        original_logprob = lk._interval_logprob
+        original_tail = distributions._upper_tail_draw
+
+        def counting_logprob(link, a, b):
+            out = original_logprob(link, a, b)
+            clamped[0] += out[1]
+            return out
+
+        def checked_tail(a, b, u):
+            draws = original_tail(a, b, u)
+            assert np.all(np.isfinite(draws)) and np.all((draws > a) & (draws <= b))
+            tail_bounds.append(a.max())
+            return draws
+
+        monkeypatch.setattr(lk, "_interval_logprob", counting_logprob)
+        monkeypatch.setattr(distributions, "_upper_tail_draw", checked_tail)
+        got = gibbs_ordinal_probit(data, prior=prior, S=60, burn=0, mh_step=0.15, rng=45)
+        # the three moved rows with y = J clamp at the current delta and at
+        # the proposal, in every sweep after the first
+        assert clamped[0] == 2 * 3 * (60 - 1)
+        assert max(tail_bounds) > 45.0
+        monkeypatch.undo()
+        want = gibbs_probit_reference(data, prior=prior, S=60, burn=0, mh_step=0.15, rng=45)
+        _assert_same_chain(got, want)
+
 
 @pytest.fixture
 def log_cdf_elements(monkeypatch):
@@ -327,12 +362,14 @@ class TestSweepWorkCounts:
             log_cdf_elements["elements"] = 0
             gibbs_ordinal_probit(data, S=S, burn=1, mh_step=0.1, rng=44)
             counts.append(log_cdf_elements["elements"])
-        # each sweep makes one pass at the current (beta, delta) and one over
-        # the proposal's moved rows; no pass runs before the first sweep
-        per_sweep = n + n_moved + 2 * n_interior
+        # each sweep makes one pass over the moved rows (y >= 2) at the current
+        # delta and at the proposal; a row with y = 1 cancels out of the
+        # ratio, and no pass runs before the first sweep
+        per_sweep = 2 * (n_moved + n_interior)
         assert counts[0] == 2 * per_sweep
         assert counts[1] - counts[0] == 3 * per_sweep
         assert per_sweep < 4 * n
+        assert per_sweep < n + n_moved + 2 * n_interior  # the full pass it replaced
 
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_binary_pass_takes_one_log_cdf_per_row(self, link, log_cdf_elements):
@@ -401,6 +438,30 @@ class TestEmptyIntervalRefused:
         data = _probit_instance(3, 200, seed=985)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="require lower < upper"):
             gibbs_ordinal_probit(data, S=20, burn=0, mh_step=1e4, rng=_AcceptEveryProposal(51))
+
+
+class TestOverflowingProposalRejected:
+    """A cut-point proposal whose spacing, cut-point or prior term overflows
+    has posterior density 0: it is rejected with no warning, and its
+    acceptance uniform is still drawn, so the random stream stays put."""
+
+    @pytest.mark.parametrize("mh_step", [1e3, 1e200])
+    def test_matches_the_reference(self, mh_step):
+        data = _probit_instance(3, 200, seed=986)
+        got = gibbs_ordinal_probit(data, S=40, burn=0, mh_step=mh_step, rng=52)
+        with np.errstate(over="ignore"):
+            want = gibbs_probit_reference(data, S=40, burn=0, mh_step=mh_step, rng=52)
+        _assert_same_chain(got, want)
+        assert got.accept_rate == 0.0
+
+    def test_step_that_overflows_the_proposal_itself(self):
+        # 1e308 times a normal draw beyond 1.8 overflows to +-inf
+        data = _probit_instance(4, 200, seed=987)
+        got = gibbs_ordinal_probit(data, S=40, burn=0, mh_step=1e308, rng=53)
+        want = gibbs_ordinal_probit(data, S=40, burn=0, mh_step=1e200, rng=53)
+        _assert_same_chain(got, want)
+        assert got.accept_rate == 0.0
+        assert np.all(got.delta == got.delta[0])
 
 
 class TestNonFiniteSettingsRefused:

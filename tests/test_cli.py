@@ -466,6 +466,17 @@ class TestBayes:
         assert rc == 1
         assert "mh_step" in capsys.readouterr().err
 
+    def test_overflowing_mh_step_runs_without_a_warning(self, tmp_path, capsys):
+        # every proposal overflows and is rejected; filterwarnings = error
+        # would turn an overflow warning into a failure
+        golden = Path(__file__).parent / "golden"
+        rc = run(["bayes", "--data", golden / "ord.csv", "--schema", golden / "ord.schema",
+                  "--draws", "300", "--burn", "100", "--mh-step", "1e300",
+                  "--out", tmp_path / "ch"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "ch.json").read_text())["accept_rate"] == 0.0
+
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_nonfinite_mh_step_is_input_error(self, sim_files, tmp_path, capsys, step):
         data_path, schema_path = sim_files

@@ -329,6 +329,31 @@ class TestTruncNormSample:
         expected = 2.0 + phi8 / math.exp(norm_log_tail_oracle(8.0))
         assert draws.mean() == pytest.approx(expected, abs=0.02)
 
+    @pytest.mark.parametrize("bound", [39.0, 45.0, 100.0, 1e4])
+    def test_draws_stay_inside_intervals_beyond_the_log_underflow(self, bound):
+        # log Phi(-bound) lies below -745 for a bound past about 38.5
+        rng = np.random.default_rng(105)
+        right = trunc_norm_draws(np.zeros(500), bound, np.inf, rng)
+        left = trunc_norm_draws(np.zeros(500), -np.inf, -bound, rng)
+        narrow = trunc_norm_draws(np.zeros(500), bound, bound + 1.0, rng)
+        for draws in (right, left, narrow):
+            assert np.all(np.isfinite(draws))
+        assert np.all(right > bound) and np.all(left <= -bound)
+        assert np.all((narrow > bound) & (narrow <= bound + 1.0))
+        # the excess over the bound is about exponential with mean 1/bound
+        assert np.mean(right - bound) == pytest.approx(1.0 / bound, rel=0.2)
+
+    @pytest.mark.parametrize("lower,upper", [(45.0, np.inf), (-np.inf, -45.0), (7.0, np.inf)])
+    def test_tail_draw_at_a_zero_uniform_is_finite(self, lower, upper):
+        class ZeroUniforms:
+            def random(self, out):
+                out[:] = 0.0
+                return out
+
+        draws = trunc_norm_draws(np.zeros(3), lower, upper, ZeroUniforms())
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws > lower) & (draws <= upper))
+
     @pytest.mark.parametrize(
         "mean,lower,upper",
         [(0.0, -np.inf, np.inf), (0.0, 0.0, np.inf), (1.0, -0.5, 2.0), (0.0, -np.inf, -1.0)],
