@@ -19,15 +19,7 @@ from .data import (
     parse_csv,
     simulate_dataset,
 )
-from .distributions import (
-    Link,
-    logistic_cdf,
-    logistic_pdf,
-    norm_cdf,
-    norm_inv_cdf,
-    norm_pdf,
-    trunc_norm_draws,
-)
+from .distributions import Link, trunc_norm_draws
 from .effects import (
     ColumnKindError,
     CovariateEffect,
@@ -55,7 +47,6 @@ from .estimation import (
 from .likelihood import (
     ModelSpec,
     ParamVector,
-    cell_logprob,
     cutpoints_from_delta,
     grad_loglik,
     hess_loglik,
@@ -64,18 +55,18 @@ from .likelihood import (
 
 __version__ = "0.1.0"
 
+# loglik, grad_loglik, hess_loglik, fit_intercept_only and ParamVector have no
+# caller in the package or the CLI; they stay because bench/ calls or traces them.
 __all__ = [
     "ChainDraws", "PriorSpec", "gibbs_binary_probit", "gibbs_ordinal_probit",
     "posterior_summary", "Covariate", "Dataset", "EncodingError",
     "EncodingReport", "ParseError", "RawTable", "SchemaConfig", "SchemaError",
     "build_dataset", "parse_csv", "simulate_dataset", "Link",
-    "logistic_cdf", "logistic_pdf", "norm_cdf", "norm_inv_cdf", "norm_pdf",
     "trunc_norm_draws", "ColumnKindError",
     "CovariateEffect", "EffectsTable", "UnsupportedLinkError", "ce_continuous",
     "ce_indicator", "cumulative_odds", "effects_table", "odds_ratio_logit",
     "EstimationError", "FitOptions", "FitResult", "SeparationError",
     "fit_intercept_only", "fit_ml", "hit_rate", "lr_test", "mcfadden_r2",
     "predict_prob", "summary_table", "ModelSpec", "ParamVector",
-    "cell_logprob", "cutpoints_from_delta", "grad_loglik", "hess_loglik",
-    "loglik",
+    "cutpoints_from_delta", "grad_loglik", "hess_loglik", "loglik",
 ]

@@ -48,7 +48,10 @@ only at the chain's start and at an accepted proposal, and there the
 refusal of ``trunc_norm_draws`` (lower < upper) runs on them.
 
 Default priors are weakly informative: beta ~ N(0, 100 I) and each log
-spacing ~ N(0, 25). With no data the samplers reproduce the prior.
+spacing ~ N(0, 25). With no data the samplers reproduce the prior. A chain
+refuses, by name, a prior whose precision overflows: a ``delta_var`` so
+small that 0.5 / delta_var is inf (every proposal's acceptance ratio would
+be nan, and accepted), or a ``B0`` whose inverse is not finite.
 """
 
 from __future__ import annotations
@@ -99,6 +102,9 @@ class PriorSpec:
                 f"delta_var (the delta prior variance) must be positive and finite, "
                 f"got {self.delta_var}"
             )
+        if 0.5 / self.delta_var == math.inf:
+            raise ValueError(f"delta_var (the delta prior variance) is too small: its "
+                             f"precision overflows, got {self.delta_var}")
         return b0, B0
 
 
@@ -152,11 +158,15 @@ def _coef_sampler(data: Dataset, b0: np.ndarray, B0: np.ndarray):
     once: the routines and the Fortran-ordered operands that ``cho_solve``
     and ``solve_triangular(L.T, ..., lower=False)`` reach, without their
     per-call conversions and finiteness checks. The inputs are checked once,
-    by ``PriorSpec.resolved``, the Dataset and, for a column too large to
-    fit, the diagonal of X'X.
+    by ``PriorSpec.resolved``, the Dataset, the prior precision B0^-1 (a B0
+    so small that its inverse overflows is refused by name) and, for a
+    column too large to fit, the diagonal of X'X.
     """
     X = data.X
     P0 = linalg.cho_solve(linalg.cho_factor(B0), np.eye(B0.shape[0]))
+    if not np.all(np.isfinite(P0)):
+        raise ValueError("prior covariance B0 is too small: its inverse, the prior precision, "
+                         "overflows")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X.T @ X
     check_square_sums(data.column_names, np.diag(gram), ValueError)

@@ -1,7 +1,9 @@
-"""Scalar probability kernels for the probit and logit links.
+"""Probability kernels for the probit and logit links.
 
-Provides the standard-normal and logistic cdf/pdf/quantile plus unit-variance
-truncated-normal sampling. Everything else in the package is built on these.
+``Link`` is the one interface to the standard-normal and logistic
+cdf/pdf/quantile and their logs: elementwise on arrays, tolerant of +/-inf,
+and used by the likelihood, the effects and the sampler alike. The module
+also gives unit-variance truncated-normal sampling.
 
 The normal kernels delegate to scipy.special (ndtr/ndtri/log_ndtr), which are
 accurate to well below 1e-14 absolute error. Every logistic kernel is built
@@ -15,7 +17,9 @@ the truncation interval sits beyond |6| standard deviations, where the naive
 inverse cdf loses all precision. That formula has no floor on the log of
 the tail mass, since ``special.ndtri_exp`` stays accurate far below -745, so
 a draw lies inside its interval also past a bound of about 38.5, where
-that log falls below -745. One kernel,
+that log falls below -745. Further out, a draw that rounds onto the bound
+or overflows is drawn again from its uniform by the exponential limit of
+the tail. One kernel,
 ``_trunc_norm_sampler``, holds that formula for ``trunc_norm_draws`` and
 for the Gibbs sweep; it takes the cdf at the finite bounds only, since it
 is exactly 0 at -inf and 1 at +inf.
@@ -34,20 +38,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Standardized bound beyond which inverse-cdf sampling moves to the log domain.
 _TAIL_SPLIT = 6.0
 _LARGEST_P_BELOW_1 = np.nextafter(1.0, 0.0)
-
-
-def _scalar_like(value: np.ndarray, reference) -> float | np.ndarray:
-    if np.isscalar(reference) or np.ndim(reference) == 0:
-        return float(value)
-    return value
-
-
-def _finite_kernel(kernel, w):
-    """``kernel`` at w, refusing a non-finite input; a scalar w gives a float."""
-    arr = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"w must be finite, got {w!r}")
-    return _scalar_like(kernel(arr), w)
 
 
 class Link(str, enum.Enum):
@@ -146,36 +136,18 @@ def logistic_log_pdf_cdf(w) -> tuple[np.ndarray, np.ndarray]:
     return _logistic_log_pdf(w, np.log1p(e)), _logistic_cdf(w, e)
 
 
-def norm_cdf(w):
-    """Standard normal cdf Phi(w). Input must be finite."""
-    return _finite_kernel(Link.PROBIT.cdf, w)
-
-
-def norm_pdf(w):
-    """Standard normal density phi(w). Input must be finite."""
-    return _finite_kernel(Link.PROBIT.pdf, w)
-
-
-def logistic_cdf(w):
-    """Logistic cdf exp(w)/(1+exp(w)), computed without overflow."""
-    return _finite_kernel(Link.LOGIT.cdf, w)
-
-
-def logistic_pdf(w):
-    """Logistic density cdf(w)*cdf(-w), free of cancellation."""
-    return _finite_kernel(Link.LOGIT.pdf, w)
-
-
-def norm_inv_cdf(p):
-    """Standard normal quantile. Requires 0 < p < 1."""
-    arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    return _scalar_like(special.ndtri(arr), p)
-
-
 def _upper_tail_draw(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-cdf draw on (a, b] with a >= _TAIL_SPLIT, done in log space."""
+    """Inverse-cdf draw on (a, b] with a >= _TAIL_SPLIT, done in log space.
+
+    Past a of about 1e8 the excess over a, about Exp(1)/a, is below half an
+    ulp of a, so a draw can round onto a; past about 1.3e154 log Phi(-a) is
+    -inf and the draw overflows. Only a draw that is infinite or outside
+    (a, b] is replaced: from the same uniform, by a + t, with t the inverse
+    cdf of the excess's exponential limit a exp(-a t) truncated at b - a,
+    kept in (a, b] and at least the next double above a. The left tail
+    calls this on (-b, -a], so a draw there that rounds onto its closed
+    bound b is moved one double inside too.
+    """
     log_sa = special.log_ndtr(-a)
     log_sb = special.log_ndtr(-b)  # -inf when b = +inf
     with np.errstate(invalid="ignore"):
@@ -183,7 +155,16 @@ def _upper_tail_draw(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     ratio = np.where(np.isneginf(log_sb), 0.0, ratio)
     # capped as p is on the main path: u = 0 with b = +inf would take log1p(-1)
     tail_share = np.minimum((1.0 - u) * (1.0 - ratio), _LARGEST_P_BELOW_1)
-    return -special.ndtri_exp(log_sa + np.log1p(-tail_share))
+    x = -special.ndtri_exp(log_sa + np.log1p(-tail_share))
+    out = np.flatnonzero(~((x > a) & (x <= b) & (x < np.inf)))
+    if out.size:
+        a, b = a[out], b[out]
+        with np.errstate(over="ignore"):
+            mass = -np.expm1(-a * (b - a))  # 1 at b = +inf
+        share = np.minimum((1.0 - u[out]) * mass, _LARGEST_P_BELOW_1)
+        t = -np.log1p(-share) / a
+        x[out] = np.minimum(np.maximum(a + t, np.nextafter(a, np.inf)), b)
+    return x
 
 
 def _check_finite_mean(mean: np.ndarray) -> None:

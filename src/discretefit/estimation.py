@@ -33,7 +33,6 @@ from scipy import linalg, special
 
 from . import likelihood as lk
 from .data import Dataset, check_square_sums
-from .distributions import norm_cdf
 from .likelihood import ModelSpec, ParamVector
 
 
@@ -336,7 +335,7 @@ def coefficient_rows(fit: FitResult, names: list[str]) -> list[dict]:
     for label, est, se in zip(labels, estimates, fit.se):
         if se > 0:
             z = est / se
-            p = 2.0 * float(norm_cdf(-abs(z)))
+            p = 2.0 * float(special.ndtr(-abs(z)))
         else:
             z = math.inf if est != 0 else 0.0
             p = 0.0 if est != 0 else 1.0

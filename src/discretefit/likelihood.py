@@ -167,20 +167,6 @@ def _bounds(delta, y: np.ndarray, xb) -> tuple[np.ndarray, np.ndarray]:
     return gamma[y - 1] - xb, gamma[y] - xb
 
 
-def cell_logprob(spec: ModelSpec, xb: float, j: int, gamma: np.ndarray) -> float:
-    """log P(y = j) for linear index xb under cut-point vector gamma.
-
-    ``gamma`` is the full extended vector (-inf, gamma_1, ..., +inf); it is
-    taken as given so shifted/unidentified configurations can be evaluated
-    directly.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if not 1 <= j <= gamma.size - 1:
-        raise ValueError(f"category {j} outside 1..{gamma.size - 1}")
-    val, _ = _interval_logprob(spec.link, gamma[j - 1] - xb, gamma[j] - xb)
-    return float(val)
-
-
 def _spacing_jacobian(delta: np.ndarray) -> np.ndarray:
     """d gamma_j / d delta_m = exp(delta_m) for m <= j; lower triangular."""
     return np.tril(np.tile(np.exp(delta), (delta.size, 1)))

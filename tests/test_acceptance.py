@@ -134,14 +134,13 @@ def test_criterion_3_parameter_recovery_coverage():
 
 def test_criterion_4_closed_form_intercept_only():
     with criterion(4, "intercept-only closed forms (binary quantile, ordinal shares)"):
-        from discretefit import norm_inv_cdf
         for n1, n2 in ((25, 75), (40, 60), (81, 19)):
             y = np.array([1] * n1 + [2] * n2)
             data = Dataset(y=y, X=np.ones((y.size, 1)), column_names=["intercept"], J=2)
             spec = ModelSpec("binary", Link.PROBIT, J=2, k=1, intercept=True)
             fit = fit_ml(spec, data)
             p_hat = n2 / (n1 + n2)
-            assert abs(fit.params.beta[0] - norm_inv_cdf(p_hat)) <= 1e-6
+            assert abs(fit.params.beta[0] - Link.PROBIT.quantile(p_hat)) <= 1e-6
 
         counts = (30, 45, 25)
         y = np.concatenate([np.full(c, j + 1) for j, c in enumerate(counts)])

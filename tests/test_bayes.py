@@ -499,3 +499,30 @@ class TestNonFiniteSettingsRefused:
         with pytest.raises(ValueError, match="^column 'x1': values too large to fit, "
                                              "their sum of squares overflows$"):
             _sample(data, S=50, burn=0, rng=49)
+
+
+class TestOverflowingPriorPrecisionRefused:
+    """A prior whose precision overflows is refused by name, with no warning.
+    Under 0.5 / delta_var = inf every acceptance ratio is nan, which would
+    accept every proposal; a B0 whose inverse is inf makes P0 b0 nan."""
+
+    @pytest.mark.parametrize("delta_var", [1e-320, 5e-324])
+    def test_delta_var(self, delta_var):
+        data = _probit_instance(3, 200, seed=988)
+        with pytest.raises(ValueError, match="^delta_var .* too small"):
+            gibbs_ordinal_probit(data, prior=PriorSpec(delta_var=delta_var), S=20, burn=0,
+                                 rng=54)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_B0(self, J):
+        data = _probit_instance(J, 200, seed=989)
+        with pytest.raises(ValueError, match="^prior covariance B0 is too small"):
+            _sample(data, prior=PriorSpec(B0=1e-310 * np.eye(3)), S=20, burn=0, rng=55)
+
+    def test_smallest_delta_var_with_a_finite_precision_keeps_its_draws(self):
+        data = _probit_instance(3, 200, seed=990)
+        prior = PriorSpec(delta_var=1e-300)
+        got = _sample(data, prior=prior, S=60, burn=0, rng=56)
+        want = gibbs_probit_reference(data, prior=prior, S=60, burn=0, rng=56, mh_step=0.15)
+        _assert_same_chain(got, want)
+        assert got.accept_rate < 0.2

@@ -4,16 +4,20 @@ The tracer looks every target up when it installs, so renaming or deleting
 one of them would crash each traced benchmark run. This test fails first.
 It loads the tracing module by file path and never installs the tracer.
 A target that exists but is no longer called would make its traced layer
-read 0 without an error, so the CLI's calls are pinned too.
+read 0 without an error, so the CLI's calls are pinned too. Every
+``df.<name>`` that a bench module reads from the package must exist as well.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
+import discretefit
 from discretefit import cli, data
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -37,6 +41,17 @@ def test_every_traced_name_exists_in_the_package():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_every_package_name_the_bench_reads_exists():
+    # bench/ imports the package as ``df`` (and ``discretefit.cli``, which
+    # this module imports too); a name trimmed from ``__init__`` would break
+    # the workloads and bench/test_bench.py while the rest of tier-1 passes
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        names.update(re.findall(r"\bdf\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
+    assert {"loglik", "grad_loglik", "fit_intercept_only", "ParamVector"} <= names
+    assert sorted(name for name in names if not hasattr(discretefit, name)) == []
 
 
 def test_cli_fit_reads_through_the_traced_data_functions(tmp_path, monkeypatch):

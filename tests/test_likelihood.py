@@ -10,7 +10,6 @@ from discretefit import (
     Link,
     ModelSpec,
     ParamVector,
-    cell_logprob,
     cutpoints_from_delta,
     fit_intercept_only,
     fit_ml,
@@ -71,65 +70,60 @@ class TestCutpoints:
 
 
 class TestCellLogprob:
+    """Cell log-probabilities of ``_interval_logprob``: at a linear index xb
+    the cells 1..J of cut-point vector gamma have the intervals
+    (gamma[:-1] - xb, gamma[1:] - xb)."""
+
     def test_binary_probit_half(self):
-        spec = ModelSpec("binary", Link.PROBIT, J=2, k=1)
         gamma = np.array([-np.inf, 0.0, np.inf])
-        assert cell_logprob(spec, 0.0, 1, gamma) == pytest.approx(math.log(0.5), abs=1e-15)
+        logp, _ = _interval_logprob(Link.PROBIT, gamma[:-1], gamma[1:])
+        assert logp[0] == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_middle_cell_against_cdf_oracle(self):
-        spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=1)
         gamma = np.array([-np.inf, 0.0, 1.0, np.inf])
-        assert cell_logprob(spec, 0.0, 2, gamma) == pytest.approx(LOG_MID_CELL, rel=1e-12)
-        assert cell_logprob(spec, 0.0, 3, gamma) == pytest.approx(LOG_TOP_CELL, rel=1e-12)
+        logp, _ = _interval_logprob(Link.PROBIT, gamma[:-1], gamma[1:])
+        assert logp[1] == pytest.approx(LOG_MID_CELL, rel=1e-12)
+        assert logp[2] == pytest.approx(LOG_TOP_CELL, rel=1e-12)
 
     def test_binary_logit_top_cell(self):
-        spec = ModelSpec("binary", Link.LOGIT, J=2, k=1)
         gamma = np.array([-np.inf, 0.0, np.inf])
-        assert cell_logprob(spec, 0.0, 2, gamma) == pytest.approx(math.log(0.5), abs=1e-15)
+        logp, _ = _interval_logprob(Link.LOGIT, gamma[:-1], gamma[1:])
+        assert logp[1] == pytest.approx(math.log(0.5), abs=1e-15)
 
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_finite_out_to_35(self, link):
-        spec = ModelSpec("ordinal", link, J=3, k=1)
         gamma = np.array([-np.inf, 0.0, 1.0, np.inf])
         for xb in (-35.0, -20.0, 20.0, 34.0):
-            for j in (1, 2, 3):
-                value = cell_logprob(spec, xb, j, gamma)
-                assert math.isfinite(value)
-                assert value <= 0.0
+            logp, n_clamped = _interval_logprob(link, gamma[:-1] - xb, gamma[1:] - xb)
+            assert n_clamped == 0
+            assert np.all(np.isfinite(logp))
+            assert np.all(logp <= 0.0)
 
     def test_deep_tail_clamps_at_floor(self):
-        spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=1)
         gamma = np.array([-np.inf, 0.0, 1.0, np.inf])
-        value = cell_logprob(spec, -60.0, 3, gamma)
-        assert value == -745.0
+        logp, n_clamped = _interval_logprob(Link.PROBIT, gamma[:-1] + 60.0, gamma[1:] + 60.0)
+        assert logp[2] == -745.0
+        assert n_clamped == 2  # cells 2 and 3 of xb = -60
 
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_cells_sum_to_one(self, link):
-        spec = ModelSpec("ordinal", link, J=4, k=1)
         gamma = cutpoints_from_delta([-0.3, 0.9])
         for xb in np.linspace(-8.0, 8.0, 33):
-            total = sum(math.exp(cell_logprob(spec, xb, j, gamma)) for j in range(1, 5))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_category_out_of_range(self):
-        spec = ModelSpec("binary", Link.PROBIT, J=2, k=1)
-        gamma = np.array([-np.inf, 0.0, np.inf])
-        with pytest.raises(ValueError):
-            cell_logprob(spec, 0.0, 3, gamma)
+            logp, _ = _interval_logprob(link, gamma[:-1] - xb, gamma[1:] - xb)
+            assert math.fsum(np.exp(logp)) == pytest.approx(1.0, abs=1e-12)
 
     def test_location_identification(self):
         # shifting all cut-points and the linear index by the same constant
         # leaves every cell probability unchanged (evaluated directly on a
         # shifted gamma, bypassing the gamma_1 = 0 normalization)
-        spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=1)
         gamma = np.array([-np.inf, 0.0, 1.3, np.inf])
         for c in (-2.0, 0.7, 4.2):
             shifted = gamma + c
             for xb in (-1.0, 0.0, 2.5):
-                for j in (1, 2, 3):
-                    assert cell_logprob(spec, xb, j, gamma) == pytest.approx(
-                        cell_logprob(spec, xb + c, j, shifted), rel=1e-12
-                    )
+                base, _ = _interval_logprob(Link.PROBIT, gamma[:-1] - xb, gamma[1:] - xb)
+                moved, _ = _interval_logprob(Link.PROBIT, shifted[:-1] - (xb + c),
+                                             shifted[1:] - (xb + c))
+                np.testing.assert_allclose(moved, base, rtol=1e-12)
 
 
 class TestLoglik:
@@ -196,7 +190,7 @@ class TestProportionalOdds:
             odds = []
             for x in (x1, x2):
                 xb = float(x @ params.beta)
-                probs = [math.exp(cell_logprob(spec, xb, h, gamma)) for h in range(1, 5)]
+                probs = np.exp(_interval_logprob(spec.link, gamma[:-1] - xb, gamma[1:] - xb)[0])
                 cum = sum(probs[:j])
                 odds.append(cum / (1.0 - cum))
             assert odds[0] / odds[1] == pytest.approx(expected, rel=1e-10)
@@ -234,8 +228,7 @@ class TestHessian:
         spec = ModelSpec("binary", Link.PROBIT, J=2, k=1, intercept=True)
         y = np.array([1] * 5 + [2] * 15)
         data = Dataset(y=y, X=np.ones((20, 1)), column_names=["intercept"], J=2)
-        from discretefit import norm_inv_cdf
-        beta_hat = norm_inv_cdf(0.75)
+        beta_hat = Link.PROBIT.quantile(0.75)
         H = hess_loglik(spec, ParamVector([beta_hat]), data)
         assert H.shape == (1, 1)
         assert H[0, 0] < 0.0
