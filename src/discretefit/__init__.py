@@ -25,8 +25,6 @@ from .effects import (
     CovariateEffect,
     EffectsTable,
     UnsupportedLinkError,
-    ce_continuous,
-    ce_indicator,
     cumulative_odds,
     effects_table,
     odds_ratio_logit,
@@ -63,8 +61,8 @@ __all__ = [
     "EncodingReport", "ParseError", "RawTable", "SchemaConfig", "SchemaError",
     "build_dataset", "parse_csv", "simulate_dataset", "Link",
     "trunc_norm_draws", "ColumnKindError",
-    "CovariateEffect", "EffectsTable", "UnsupportedLinkError", "ce_continuous",
-    "ce_indicator", "cumulative_odds", "effects_table", "odds_ratio_logit",
+    "CovariateEffect", "EffectsTable", "UnsupportedLinkError",
+    "cumulative_odds", "effects_table", "odds_ratio_logit",
     "EstimationError", "FitOptions", "FitResult", "SeparationError",
     "fit_intercept_only", "fit_ml", "hit_rate", "lr_test", "mcfadden_r2",
     "predict_prob", "summary_table", "ModelSpec", "ParamVector",

@@ -7,16 +7,20 @@ difference of the full probability vectors with the column forced to 1 versus
 Within every observation the effects across categories sum to zero because
 the probabilities sum to one before and after the perturbation.
 
-A table does the work that its columns share once: the density differences
-f(gamma_j - x'b) - f(gamma_{j-1} - x'b) that every continuous effect scales,
-and the base probabilities P(x) at the observed design. An indicator then
-costs one more ``predict_prob`` pass, on a single working copy of X with its
-column flipped to 1 - x_m and restored afterwards. Each row of that copy is
-the observed row with x_m switched to the value it does not hold, so the
-effect is P(x) - P(flipped) where x_m = 1 and P(flipped) - P(x) where
-x_m = 0: bit for bit the two-copy P(X with x_m = 1) - P(X with x_m = 0),
-because the matrix product computes every row on its own. Shifting x'b by
-+-b_m instead would save the products but move the last bits.
+``effects_table`` is the one entry point: a column of 0/1 values gets the
+indicator effect and any other column the derivative; the effect of one
+column is a table of that column. A table does the work that its columns
+share once: the density differences f(gamma_j - x'b) - f(gamma_{j-1} - x'b)
+that every continuous effect scales, from the category routine behind
+``predict_prob`` applied to the density, and the base probabilities P(x) at
+the observed design. An indicator then costs one more ``predict_prob``
+pass, on a single working copy of X with its column flipped to 1 - x_m and
+restored afterwards. Each row of that copy is the observed row with x_m
+switched to the value it does not hold, so the effect is P(x) - P(flipped)
+where x_m = 1 and P(flipped) - P(x) where x_m = 0: bit for bit the two-copy
+P(X with x_m = 1) - P(X with x_m = 0), because the matrix product computes
+every row on its own. Shifting x'b by +-b_m instead would save the products
+but move the last bits.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .estimation import predict_prob
-from .likelihood import FAMILY_BINARY, FAMILY_ORDINAL, ModelSpec, ParamVector
+from .estimation import _category_differences, predict_prob
+from .likelihood import FAMILY_BINARY, FAMILY_ORDINAL, ModelSpec, ParamVector, _check_params
 from .distributions import Link
 
 
 class ColumnKindError(ValueError):
-    """The requested column does not have the kind the effect assumes."""
+    """The column has no effect of that kind: the intercept, or a scaled indicator."""
 
 
 class UnsupportedLinkError(ValueError):
@@ -77,58 +81,6 @@ def _effect_column(spec: ModelSpec, idx: int) -> int:
     return idx
 
 
-def _column_kind(data: Dataset, idx: int) -> str:
-    return KIND_INDICATOR if _is_indicator(data.X[:, idx]) else KIND_CONTINUOUS
-
-
-def _effects(spec: ModelSpec, params: ParamVector, data: Dataset,
-             columns: list[int], kinds: list[str]) -> list[CovariateEffect]:
-    """Effects of checked ``columns`` of the given ``kinds``, from one base pass."""
-    X, beta = data.X, params.beta
-    if KIND_CONTINUOUS in kinds:
-        xb = X @ beta
-        # the density is 0 at the infinite end cut-points; only the interior ones need it
-        dens = np.zeros((xb.size, spec.J + 1))
-        dens[:, 1:-1] = spec.link.pdf(params.cutpoints()[None, 1:-1] - xb[:, None])
-        dens_diff = np.diff(dens, axis=1)
-    if KIND_INDICATOR in kinds:
-        work = X.copy()
-        base = predict_prob(spec, params, work)
-    rows = []
-    for idx, kind in zip(columns, kinds):
-        if kind == KIND_CONTINUOUS:
-            per_obs = -beta[idx] * dens_diff
-        else:
-            column = X[:, idx]
-            work[:, idx] = 1.0 - column
-            other = predict_prob(spec, params, work)
-            work[:, idx] = column
-            per_obs = np.where((column == 1.0)[:, None], base - other, other - base)
-        rows.append(CovariateEffect(
-            name=data.column_names[idx], kind=kind,
-            per_obs=per_obs, average=per_obs.mean(axis=0),
-        ))
-    return rows
-
-
-def ce_continuous(spec: ModelSpec, params: ParamVector, data: Dataset, l: int) -> CovariateEffect:
-    """Marginal effect of continuous column ``l`` on every category probability."""
-    if _column_kind(data, _effect_column(spec, l)) != KIND_CONTINUOUS:
-        raise ColumnKindError(
-            f"column {data.column_names[l]!r} is a 0/1 indicator; use ce_indicator"
-        )
-    return _effects(spec, params, data, [l], [KIND_CONTINUOUS])[0]
-
-
-def ce_indicator(spec: ModelSpec, params: ParamVector, data: Dataset, m: int) -> CovariateEffect:
-    """Effect of switching indicator column ``m`` from 0 to 1, everything else fixed."""
-    if _column_kind(data, _effect_column(spec, m)) != KIND_INDICATOR:
-        raise ColumnKindError(
-            f"column {data.column_names[m]!r} takes values outside {{0, 1}}"
-        )
-    return _effects(spec, params, data, [m], [KIND_INDICATOR])[0]
-
-
 def check_request(spec: ModelSpec, data: Dataset, columns: list[int] | None = None,
                   scales: dict[str, float] | None = None) -> list[int]:
     """The design columns an effects table reports (default: all but the
@@ -157,12 +109,32 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
                   columns: list[int] | None = None,
                   scales: dict[str, float] | None = None) -> EffectsTable:
     """Average effects for the requested columns (default: all but intercept),
-    as ``check_request`` admits them."""
+    as ``check_request`` admits them; a column of 0/1 values is an indicator."""
+    _check_params(spec, params)
     scales = scales or {}
     columns = check_request(spec, data, columns, scales)
-    rows = _effects(spec, params, data, columns, [_column_kind(data, i) for i in columns])
-    for eff in rows:
-        eff.scale = float(scales.get(eff.name, 1.0))
+    X, beta = data.X, params.beta
+    kinds = [KIND_INDICATOR if _is_indicator(X[:, idx]) else KIND_CONTINUOUS for idx in columns]
+    if KIND_CONTINUOUS in kinds:
+        dens_diff = np.stack(list(_category_differences(
+            spec.link.pdf, params.cutpoints(), X @ beta, 0.0)), axis=1)
+    if KIND_INDICATOR in kinds:
+        work = X.copy()
+        base = predict_prob(spec, params, work)
+    rows = []
+    for idx, kind in zip(columns, kinds):
+        if kind == KIND_CONTINUOUS:
+            per_obs = -beta[idx] * dens_diff
+        else:
+            column = X[:, idx]
+            work[:, idx] = 1.0 - column
+            other = predict_prob(spec, params, work)
+            work[:, idx] = column
+            per_obs = np.where((column == 1.0)[:, None], base - other, other - base)
+        name = data.column_names[idx]
+        rows.append(CovariateEffect(name=name, kind=kind, per_obs=per_obs,
+                                    average=per_obs.mean(axis=0),
+                                    scale=float(scales.get(name, 1.0))))
     return EffectsTable(rows=rows, J=spec.J)
 
 
@@ -172,6 +144,7 @@ def odds_ratio_logit(spec: ModelSpec, params: ParamVector, m: int) -> float:
         raise UnsupportedLinkError("odds ratios are a logit-link construct")
     if spec.family != FAMILY_BINARY:
         raise UnsupportedLinkError("odds_ratio_logit applies to the binary model")
+    _check_params(spec, params)
     if not 0 <= m < spec.k:
         raise ValueError(f"column index {m} out of range")
     return float(np.exp(params.beta[m]))
@@ -187,6 +160,7 @@ def cumulative_odds(spec: ModelSpec, params: ParamVector, x: np.ndarray, j: int)
         raise UnsupportedLinkError("cumulative odds are a logit-link construct")
     if spec.family != FAMILY_ORDINAL:
         raise UnsupportedLinkError("cumulative_odds applies to the ordinal model")
+    _check_params(spec, params)
     if not 1 <= j <= spec.J - 1:
         raise ValueError(f"category {j} must lie in 1..J-1 = {spec.J - 1} (odds at J are not defined)")
     x = np.asarray(x, dtype=float)

@@ -21,6 +21,11 @@ Standard errors come from the observed information (inverse negative Hessian)
 at the optimum, mapped to the (coefficients, interior cut-points) scale by
 the delta method so cut-point rows can be reported the way applied tables
 print them.
+
+Category probabilities F(gamma_j - x'b) - F(gamma_{j-1} - x'b) come from one
+routine, ``_category_differences``, one category at a time: ``predict_prob``
+stacks them, ``hit_rate`` keeps a running maximum over them, and the
+effects take the same differences of the density.
 """
 
 from __future__ import annotations
@@ -281,38 +286,43 @@ def mcfadden_r2(loglik_0: float, loglik_fit: float) -> float:
     return max(0.0, 1.0 - loglik_fit / loglik_0)
 
 
+def _category_differences(fn, gamma: np.ndarray, xb: np.ndarray, top: float):
+    """For j = 1..J, the column fn(gamma_j - xb) - fn(gamma_{j-1} - xb), one
+    at a time. fn is taken as 0 at gamma_0 = -inf and as ``top`` at
+    gamma_J = +inf, so only the interior cut-points are evaluated."""
+    lower = 0.0
+    for cut in gamma[1:-1]:
+        upper = fn(cut - xb)
+        yield upper - lower
+        lower = upper
+    yield top - lower
+
+
 def predict_prob(spec: ModelSpec, params: ParamVector, X_new: np.ndarray) -> np.ndarray:
     """n x J matrix of cell probabilities; each row sums to one exactly.
 
     Computed as first differences of the link cdf over the cut-points, so
     the row sum telescopes to F(inf) - F(-inf) = 1.
     """
+    lk._check_params(spec, params)
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     if X_new.shape[1] != spec.k:
         raise ValueError(f"design has {X_new.shape[1]} columns, spec declares k = {spec.k}")
-    gamma = params.cutpoints()
-    xb = X_new @ params.beta
-    # F(-inf) = 0 and F(inf) = 1 exactly; only the interior cut-points need F
-    cdf_at_cuts = np.empty((xb.size, spec.J + 1))
-    cdf_at_cuts[:, 0] = 0.0
-    cdf_at_cuts[:, -1] = 1.0
-    cdf_at_cuts[:, 1:-1] = spec.link.cdf(gamma[None, 1:-1] - xb[:, None])
-    return np.diff(cdf_at_cuts, axis=1)
+    probs = _category_differences(spec.link.cdf, params.cutpoints(), X_new @ params.beta, 1.0)
+    return np.stack(list(probs), axis=1)
 
 
 def hit_rate(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
     """Percentage of observations whose observed category has the highest
     predicted probability; ties go to the lowest category index. It takes
     ``predict_prob``'s probabilities one category at a time, no n x J matrix."""
-    xb = data.X @ params.beta
-    gamma = params.cutpoints()
-    cdf = best = spec.link.cdf(gamma[1] - xb)
+    lk._check_params(spec, params)
+    probs = _category_differences(spec.link.cdf, params.cutpoints(), data.X @ params.beta, 1.0)
+    best = next(probs)
     predicted = np.ones(data.n, dtype=data.y.dtype)
-    for j in range(2, spec.J + 1):
-        upper = spec.link.cdf(gamma[j] - xb) if j < spec.J else 1.0
-        prob = upper - cdf
+    for j, prob in enumerate(probs, start=2):
         predicted = np.where(prob > best, j, predicted)
-        best, cdf = np.maximum(best, prob), upper
+        best = np.maximum(best, prob)
     return float(np.mean(predicted == data.y) * 100.0)
 
 

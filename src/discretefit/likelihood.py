@@ -154,6 +154,11 @@ def _check_dimensions(spec: ModelSpec, params: ParamVector, data: Dataset) -> No
         raise ValueError(f"data has J = {data.J} categories but spec declares J = {spec.J}")
     if data.X.shape[1] != spec.k:
         raise ValueError(f"design has {data.X.shape[1]} columns but spec declares k = {spec.k}")
+    _check_params(spec, params)
+
+
+def _check_params(spec: ModelSpec, params: ParamVector) -> None:
+    """Refuse a ``beta`` that is not (k,) or a ``delta`` that is not (J - 2,)."""
     if params.beta.shape != (spec.k,):
         raise ValueError(f"beta has shape {params.beta.shape}, expected ({spec.k},)")
     if params.delta.shape != (spec.J - 2,):

@@ -3,10 +3,10 @@
 Nothing here touches scipy or the package under test: the normal cdf comes
 from a high-precision Taylor series for erf (>= 30 terms, evaluated in
 50-digit arithmetic), far tails from the asymptotic Mills-ratio expansion,
-quantiles from bisection on the series, the logistic log-cdf and log-density
-from their definitions in 50-digit arithmetic, and chi-square tails from a
-direct series / continued-fraction evaluation of the regularized incomplete
-gamma.
+the cdf of a truncated normal from mpmath's erfc, quantiles from bisection
+on the series, the logistic log-cdf and log-density from their definitions
+in 50-digit arithmetic, and chi-square tails from a direct series /
+continued-fraction evaluation of the regularized incomplete gamma.
 ``encode_rowwise`` is a row-by-row reference for the schema encoder; it
 reads the table through ``table_rows``, a row view the package does not keep.
 ``trunc_norm_draws_masked`` and ``gibbs_probit_reference`` are the earlier
@@ -87,6 +87,22 @@ def norm_log_tail_oracle(w) -> float:
         series += (-1) ** n * new
     log_phi = -w * w / 2 - mpmath.log(mpmath.sqrt(2 * mpmath.pi))
     return float(log_phi - mpmath.log(w) + mpmath.log(series))
+
+
+def trunc_norm_cdf_oracle(a: float, b: float):
+    """The cdf of a unit normal truncated to (a, b], from mpmath's erfc in
+    30-digit arithmetic; b may be +inf."""
+    def tail(w) -> mpmath.mpf:
+        return mpmath.erfc(mpmath.mpf(w) / _SQRT2) / 2
+
+    with mpmath.workdps(30):
+        tail_a, tail_b = tail(a), tail(b)
+
+    def cdf(x: float) -> float:
+        with mpmath.workdps(30):
+            return float((tail_a - tail(x)) / (tail_a - tail_b))
+
+    return cdf
 
 
 def norm_cdf_float_oracle(w: float) -> float:

@@ -16,9 +16,8 @@ from discretefit import (
     Link,
     ModelSpec,
     ParamVector,
-    ce_continuous,
-    ce_indicator,
     cumulative_odds,
+    effects_table,
     fit_ml,
     gibbs_binary_probit,
     gibbs_ordinal_probit,
@@ -192,7 +191,7 @@ def test_criterion_7_effects_and_fit_statistics():
             fit = fit_ml(spec, data)
 
             # continuous: analytic derivative vs centered finite difference
-            eff = ce_continuous(spec, fit.params, data, 1)
+            eff = effects_table(spec, fit.params, data, columns=[1]).rows[0]
             h = 1e-6
             X_hi, X_lo = data.X.copy(), data.X.copy()
             X_hi[:, 1] += h
@@ -210,7 +209,7 @@ def test_criterion_7_effects_and_fit_statistics():
             params_ind = ParamVector(
                 np.concatenate([fit.params.beta, [0.3]]), fit.params.delta
             )
-            eff_ind = ce_indicator(spec_ind, params_ind, data_ind, 3)
+            eff_ind = effects_table(spec_ind, params_ind, data_ind, columns=[3]).rows[0]
             X1, X0 = X_ind.copy(), X_ind.copy()
             X1[:, 3], X0[:, 3] = 1.0, 0.0
             direct = (predict_prob(spec_ind, params_ind, X1)

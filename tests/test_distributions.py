@@ -17,6 +17,7 @@ from oracles import (
     norm_cdf_float_oracle,
     norm_cdf_oracle,
     norm_log_tail_oracle,
+    trunc_norm_cdf_oracle,
     trunc_norm_draws_masked,
     ulp_distance,
 )
@@ -350,6 +351,24 @@ class TestTruncNormSample:
 
         assert ks_statistic(draws, cdf) < 0.01
         assert np.all(draws > lower) and np.all(draws <= upper)
+
+    @pytest.mark.parametrize("a", [6.5, 12.0, 40.0])
+    @pytest.mark.parametrize("finite_b", [False, True])
+    def test_tail_draws_ks_against_exact_cdf(self, a, finite_b):
+        # the log-space tail draw against an exact cdf that shares no code
+        # with it; half the draws come from the mirrored interval (-b, -a]
+        b = a + 1.0 / a if finite_b else np.inf
+        n = 1000
+        lower = np.repeat([a, -b], n // 2)
+        upper = np.repeat([b, -a], n // 2)
+        draws = trunc_norm_draws(np.zeros(n), lower, upper, np.random.default_rng(107))
+        assert np.all((draws > lower) & (draws <= upper))
+        draws[n // 2:] *= -1.0
+        cdf = trunc_norm_cdf_oracle(a, b)
+        assert ks_statistic(draws, cdf) < 1.95 / math.sqrt(n)
+        # and draw by draw: each is the inverse cdf at 1 - u of its own uniform u
+        u = np.random.default_rng(107).random(n)[::25]
+        np.testing.assert_allclose([cdf(x) for x in draws[::25]], 1.0 - u, rtol=0.0, atol=1e-9)
 
     def test_deterministic_given_seed(self):
         a = trunc_norm_draws(np.full(50, 0.5), 0.0, 3.0, np.random.default_rng(7))

@@ -18,8 +18,6 @@ from discretefit import (
     ModelSpec,
     ParamVector,
     UnsupportedLinkError,
-    ce_continuous,
-    ce_indicator,
     cumulative_odds,
     effects_table,
     odds_ratio_logit,
@@ -49,7 +47,7 @@ class TestContinuousEffects:
         X = np.column_stack([np.ones(3), [0.0, 0.0, 2.0]])
         data = Dataset(y=[1, 2, 2], X=X, column_names=["intercept", "x"], J=2)
         params = ParamVector([0.0, 0.5])
-        eff = ce_continuous(spec, params, data, 1)
+        eff = effects_table(spec, params, data, columns=[1]).rows[0]
         np.testing.assert_allclose(eff.per_obs[:2, 1], 0.5 * PHI_0_DENSITY, atol=1e-12)
         np.testing.assert_allclose(eff.per_obs[:2, 0], -0.5 * PHI_0_DENSITY, atol=1e-12)
 
@@ -57,7 +55,7 @@ class TestContinuousEffects:
     @pytest.mark.parametrize("J", [2, 3, 4])
     def test_matches_finite_difference_of_predict_prob(self, link, J):
         spec, data, params = _continuous_instance(link, J, seed=42)
-        eff = ce_continuous(spec, params, data, 1)
+        eff = effects_table(spec, params, data, columns=[1]).rows[0]
         h = 1e-6
         X_hi, X_lo = data.X.copy(), data.X.copy()
         X_hi[:, 1] += h
@@ -70,27 +68,20 @@ class TestContinuousEffects:
     def test_sign_law_for_extreme_categories(self, link):
         spec, data, params = _continuous_instance(link, 4, seed=43)
         for l, beta_l in ((1, params.beta[1]), (2, params.beta[2])):
-            eff = ce_continuous(spec, params, data, l)
+            eff = effects_table(spec, params, data, columns=[l]).rows[0]
             assert np.all(np.sign(eff.per_obs[:, 0]) == -np.sign(beta_l))
             assert np.all(np.sign(eff.per_obs[:, -1]) == np.sign(beta_l))
 
     def test_per_row_effects_sum_to_zero(self):
         spec, data, params = _continuous_instance(Link.LOGIT, 3, seed=44)
-        eff = ce_continuous(spec, params, data, 2)
+        eff = effects_table(spec, params, data, columns=[2]).rows[0]
         np.testing.assert_allclose(eff.per_obs.sum(axis=1), 0.0, atol=1e-10)
         assert abs(eff.average.sum()) < 1e-10
 
     def test_intercept_rejected(self):
         spec, data, params = _continuous_instance(Link.PROBIT, 3, seed=45)
         with pytest.raises(ColumnKindError):
-            ce_continuous(spec, params, data, 0)
-
-    def test_indicator_column_rejected(self):
-        spec = ModelSpec("binary", Link.PROBIT, J=2, k=2, intercept=True)
-        X = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
-        data = Dataset(y=[1, 2, 1, 2], X=X, column_names=["intercept", "d"], J=2)
-        with pytest.raises(ColumnKindError):
-            ce_continuous(spec, ParamVector([0.0, 1.0]), data, 1)
+            effects_table(spec, params, data, columns=[0]).rows[0]
 
 
 class TestIndicatorEffects:
@@ -103,13 +94,13 @@ class TestIndicatorEffects:
 
     def test_zero_coefficient_gives_exact_zero(self):
         spec, data, params = self._indicator_instance(0.0)
-        eff = ce_indicator(spec, params, data, 1)
+        eff = effects_table(spec, params, data, columns=[1]).rows[0]
         assert np.all(eff.per_obs == 0.0)
         assert np.all(eff.average == 0.0)
 
     def test_unit_coefficient_from_cdf_oracle(self):
         spec, data, params = self._indicator_instance(1.0, xb_rest=0.0)
-        eff = ce_indicator(spec, params, data, 1)
+        eff = effects_table(spec, params, data, columns=[1]).rows[0]
         np.testing.assert_allclose(eff.per_obs[:, 1], DELTA_PHI_0_1, atol=1e-12)
         np.testing.assert_allclose(eff.per_obs[:, 0], -DELTA_PHI_0_1, atol=1e-12)
 
@@ -120,17 +111,12 @@ class TestIndicatorEffects:
         y = rng.integers(1, 4, 50)
         data = Dataset(y=y, X=X, column_names=["intercept", "x", "d"], J=3)
         params = ParamVector([0.2, -0.5, 0.8], [0.3])
-        eff = ce_indicator(spec, params, data, 2)
+        eff = effects_table(spec, params, data, columns=[2]).rows[0]
         X1, X0 = data.X.copy(), data.X.copy()
         X1[:, 2], X0[:, 2] = 1.0, 0.0
         expected = predict_prob(spec, params, X1) - predict_prob(spec, params, X0)
         np.testing.assert_array_equal(eff.per_obs, expected)
         np.testing.assert_allclose(eff.per_obs.sum(axis=1), 0.0, atol=1e-10)
-
-    def test_non_binary_column_rejected(self):
-        spec, data, params = _continuous_instance(Link.PROBIT, 3, seed=47)
-        with pytest.raises(ColumnKindError):
-            ce_indicator(spec, params, data, 1)
 
 
 class TestOddsRatio:
@@ -163,6 +149,40 @@ class TestOddsRatio:
     def test_column_index_out_of_range(self, m):
         with pytest.raises(ValueError, match=f"^column index {m} out of range$"):
             odds_ratio_logit(self._logit_spec(), ParamVector([0.0, 1.0]), m)
+
+
+class TestParamsCheckedAgainstSpec:
+    """A beta or delta of the wrong length is refused by name, with the
+    messages of the likelihood's dimension check."""
+
+    @pytest.mark.parametrize("params, message", [
+        (ParamVector([0.1, 0.5], [0.2]), r"^delta has length 1, expected J - 2 = 2$"),
+        (ParamVector([0.1], [0.2, 0.1]), r"^beta has shape \(1,\), expected \(2,\)$"),
+        (ParamVector([0.1, 0.5, 0.3], [0.2, 0.1]), r"^beta has shape \(3,\), expected \(2,\)$"),
+    ])
+    def test_effects_table(self, params, message):
+        spec = ModelSpec("ordinal", Link.LOGIT, J=4, k=2, intercept=True)
+        X = np.column_stack([np.ones(4), [-0.4, 0.2, 1.1, 0.0]])
+        data = Dataset(y=[1, 2, 4, 3], X=X, column_names=["intercept", "x"], J=4)
+        with pytest.raises(ValueError, match=message):
+            effects_table(spec, params, data)
+
+    def test_cumulative_odds(self):
+        spec = ModelSpec("ordinal", Link.LOGIT, J=4, k=2, intercept=True)
+        with pytest.raises(ValueError, match=r"^delta has length 1, expected J - 2 = 2$"):
+            cumulative_odds(spec, ParamVector([0.0, 0.5], [0.2]), [1.0, 0.3], 3)
+        with pytest.raises(ValueError, match=r"^beta has shape \(3,\), expected \(2,\)$"):
+            cumulative_odds(spec, ParamVector([0.0, 0.5, 0.1], [0.2, 0.1]), [1.0, 0.3, 2.0], 2)
+
+    @pytest.mark.parametrize("params, message", [
+        (ParamVector([0.1]), r"^beta has shape \(1,\), expected \(2,\)$"),
+        (ParamVector([0.1, 0.5, 0.3]), r"^beta has shape \(3,\), expected \(2,\)$"),
+        (ParamVector([0.1, 0.5], [0.2]), r"^delta has length 1, expected J - 2 = 0$"),
+    ])
+    def test_odds_ratio_logit(self, params, message):
+        spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
+        with pytest.raises(ValueError, match=message):
+            odds_ratio_logit(spec, params, 1)
 
 
 class TestCumulativeOdds:
@@ -283,12 +303,12 @@ class TestTableBitIdentity:
         assert [r.name for r in table.rows] == [data.column_names[c] for c in columns]
         for idx, row in zip(columns, table.rows):
             if row.kind == "indicator":
-                single = ce_indicator(spec, params, data, idx)
+                single = effects_table(spec, params, data, columns=[idx]).rows[0]
                 two_copy = _two_copy_effect(spec, params, data.X, idx)
                 assert np.array_equal(row.per_obs, two_copy)
                 assert np.array_equal(row.average, two_copy.mean(axis=0))
             else:
-                single = ce_continuous(spec, params, data, idx)
+                single = effects_table(spec, params, data, columns=[idx]).rows[0]
             assert np.array_equal(row.per_obs, single.per_obs)
             assert np.array_equal(row.average, single.average)
         assert [r.kind for r in table.rows] == ["indicator", "continuous"] * 3
@@ -380,13 +400,13 @@ class TestColumnIndexChecks:
     def test_out_of_range_index_named(self, idx):
         spec, data, params, _ = _mixed_instance(20, 3, Link.LOGIT, True, seed=8)
         with pytest.raises(ValueError, match=f"column index {idx} out of range"):
-            ce_continuous(spec, params, data, idx)
+            effects_table(spec, params, data, columns=[idx]).rows[0]
         with pytest.raises(ValueError, match=f"column index {idx} out of range"):
             effects_table(spec, params, data, columns=[1, idx])
 
     def test_intercept_refused_before_its_column_is_read(self):
         spec, data, params, _ = _mixed_instance(20, 3, Link.LOGIT, True, seed=9)
-        for call in (lambda: ce_continuous(spec, params, data, 0),
+        for call in (lambda: effects_table(spec, params, data, columns=[0]).rows[0],
                      lambda: effects_table(spec, params, data, columns=[0])):
             with pytest.raises(ColumnKindError, match="the intercept has no covariate effect"):
                 call()

@@ -511,6 +511,23 @@ class TestPredictProb:
             predict_prob(spec, ParamVector([0.0, 0.0]), np.ones((3, 5)))
 
 
+@pytest.mark.parametrize("params, message", [
+    (ParamVector([0.1, 0.5], [0.2]), r"^delta has length 1, expected J - 2 = 2$"),
+    (ParamVector([0.1, 0.5], [0.2, 0.1, 0.3]), r"^delta has length 3, expected J - 2 = 2$"),
+    (ParamVector([0.1], [0.2, 0.1]), r"^beta has shape \(1,\), expected \(2,\)$"),
+    (ParamVector([0.1, 0.5, 0.3], [0.2, 0.1]), r"^beta has shape \(3,\), expected \(2,\)$"),
+])
+def test_probabilities_refuse_params_that_do_not_fit_the_spec(params, message):
+    # a J = 4, k = 2 spec: a misfit is refused by name, not broadcast or indexed
+    spec = ModelSpec("ordinal", Link.PROBIT, J=4, k=2, intercept=True)
+    X = np.column_stack([np.ones(3), [-0.4, 0.2, 1.1]])
+    data = Dataset(y=[1, 2, 4], X=X, column_names=["intercept", "x"], J=4)
+    with pytest.raises(ValueError, match=message):
+        predict_prob(spec, params, X)
+    with pytest.raises(ValueError, match=message):
+        hit_rate(spec, params, data)
+
+
 class TestSummaryTable:
     def _fixed_fit(self, z_value):
         spec = ModelSpec("binary", Link.PROBIT, J=2, k=1, intercept=True)

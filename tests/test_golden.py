@@ -2,7 +2,11 @@
 
 The pipeline simulates a binary and an ordinal file, fits both under each
 link, computes their effects, and runs a short probit chain on each (J = 2
-and J = 3). Every text report, and the simulated CSV and schema, must equal
+and J = 3). It also writes a seeded J = 3 survey whose schema has a
+categorical, a ``log`` and a continuous covariate and a ``missing`` token,
+and fits it and computes its effects (columns out of order, two scaled)
+under each link; that is the byte test of the categorical encoder and of
+indicator effects. Every text report, and each CSV and schema, must equal
 its copy under ``tests/golden/``. The ``.json`` reports are left out: a
 chain's last digits depend on the BLAS thread count at large n (the
 sampler's ``X.T @ z``), which the rounded text does not show; the fit and
@@ -15,6 +19,7 @@ To regenerate the golden files (only for a deliberate change of output)::
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from discretefit.cli import main
@@ -28,6 +33,43 @@ SIMULATIONS = {
             "--n", "300", "--seed", "4"],
 }
 CHAINS = {"bin": "bayes2", "ord": "bayes3"}
+SURVEY = "ind"
+SURVEY_SCHEMA = """response = opinion
+labels = oppose, medical, legal
+missing = refused, dont know
+intercept = true
+covariate.party = categorical:ind
+covariate.age = log
+covariate.hours = continuous
+"""
+SURVEY_EFFECTS = ["--columns", "party=rep,hours,age,party=dem,party=green",
+                  "--scale", "hours=10", "--scale", "age=0.1"]
+
+
+def write_survey(csv_path: Path, schema_path: Path) -> None:
+    """A seeded 400-row survey from an ordinal probit model, with a party
+    categorical of four levels, a log age, continuous weekly news hours and
+    missing tokens in the response and in two covariates."""
+    rng = np.random.default_rng(23)
+    n = 400
+    levels = np.array(["dem", "ind", "rep", "green"], dtype=object)
+    party = rng.choice(levels, size=n, p=[0.35, 0.3, 0.3, 0.05])
+    age = rng.integers(18, 90, size=n)
+    hours = np.round(rng.gamma(2.0, 3.0, size=n), 1)
+    effect = {"dem": 0.6, "ind": 0.0, "rep": -0.7, "green": 0.9}
+    z = (1.5 + np.array([effect[p] for p in party]) - 0.5 * np.log(age)
+         + 0.05 * hours + rng.standard_normal(n))
+    labels = np.array(["oppose", "medical", "legal"], dtype=object)
+    opinion = labels[np.searchsorted([0.0, 0.8], z)]
+    opinion[rng.random(n) < 0.03] = "dont know"
+    party[rng.random(n) < 0.04] = "refused"
+    age_cells = age.astype(str).astype(object)
+    age_cells[rng.random(n) < 0.03] = "refused"
+    rows = ["opinion,party,age,hours"] + [
+        f"{o},{p},{a},{h}" for o, p, a, h in zip(opinion, party, age_cells, hours)
+    ]
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    schema_path.write_text(SURVEY_SCHEMA, encoding="utf-8")
 
 
 def golden_names() -> list[str]:
@@ -37,6 +79,9 @@ def golden_names() -> list[str]:
         for link in ("probit", "logit"):
             names += [f"{data}-{link}-fit.txt", f"{data}-{link}-effects.txt"]
         names.append(f"{CHAINS[data]}.txt")
+    names += [f"{SURVEY}.csv", f"{SURVEY}.schema"]
+    for link in ("probit", "logit"):
+        names += [f"{SURVEY}-{link}-fit.txt", f"{SURVEY}-{link}-effects.txt"]
     return names
 
 
@@ -54,6 +99,14 @@ def run_pipeline(workdir: Path) -> None:
                 run(command, *files, "--link", link, "--out", workdir / f"{data}-{link}-{command}")
         run("bayes", *files, "--draws", "600", "--burn", "100",
             "--out", workdir / CHAINS[data])
+
+    csv_path, schema_path = workdir / f"{SURVEY}.csv", workdir / f"{SURVEY}.schema"
+    write_survey(csv_path, schema_path)
+    files = ["--data", csv_path, "--schema", schema_path]
+    for link in ("probit", "logit"):
+        run("fit", *files, "--link", link, "--out", workdir / f"{SURVEY}-{link}-fit")
+        run("effects", *files, "--link", link, *SURVEY_EFFECTS,
+            "--out", workdir / f"{SURVEY}-{link}-effects")
 
 
 @pytest.fixture(scope="module")

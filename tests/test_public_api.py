@@ -15,8 +15,7 @@ DECLARED = sorted([
     "Link", "trunc_norm_draws",
     # effects
     "ColumnKindError", "CovariateEffect", "EffectsTable", "UnsupportedLinkError",
-    "ce_continuous", "ce_indicator", "cumulative_odds", "effects_table",
-    "odds_ratio_logit",
+    "cumulative_odds", "effects_table", "odds_ratio_logit",
     # estimation
     "EstimationError", "FitOptions", "FitResult", "SeparationError",
     "fit_intercept_only", "fit_ml", "hit_rate", "lr_test", "mcfadden_r2",
