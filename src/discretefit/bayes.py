@@ -64,7 +64,7 @@ import numpy as np
 from scipy import linalg
 
 from . import likelihood as lk
-from .data import Dataset, check_square_sums
+from .data import Dataset, _text_table, check_square_sums
 from .distributions import Link, _check_finite_mean, _check_intervals, _trunc_norm_sampler
 from .likelihood import FAMILY_ORDINAL, ModelSpec
 
@@ -356,18 +356,11 @@ def posterior_summary(chain: ChainDraws) -> list[dict]:
     return out
 
 
-def summary_text(chain: ChainDraws) -> str:
-    rows = posterior_summary(chain)
-    name_width = max(12, max(len(r["name"]) for r in rows))
-    header = (
-        f"{'':{name_width}}  {'mean':>10}  {'sd':>10}  {'2.5%':>10}  {'50%':>10}  {'97.5%':>10}"
-    )
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r['name']:{name_width}}  {r['mean']:>10.4f}  {r['sd']:>10.4f}  "
-            f"{r['q2.5']:>10.4f}  {r['q50']:>10.4f}  {r['q97.5']:>10.4f}"
-        )
+def summary_text(chain: ChainDraws, rows: list[dict]) -> str:
+    """The text report of ``chain`` and its ``posterior_summary`` rows."""
+    columns = {"mean": "mean", "sd": "sd", "q2.5": "2.5%", "q50": "50%", "q97.5": "97.5%"}
+    lines = _text_table([(title, 10) for title in columns.values()],
+                        [(r["name"], [r[key] for key in columns]) for r in rows])
     if chain.accept_rate is not None:
         lines.append(f"cut-point MH acceptance rate = {chain.accept_rate:.4f}")
     lines.append(f"draws = {chain.n_draws}   burn-in = {chain.burn}   seed = {chain.seed}")

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -126,12 +127,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     Path(f"{args.out}.txt").write_text(text, encoding="utf-8")
     payload = estimation.fit_report_dict(fit, dataset.column_names)
-    payload["encoding"] = {
-        "n_raw": report.n_raw,
-        "n_dropped": report.n_dropped,
-        "n": report.n,
-        "warnings": report.warnings,
-    }
+    payload["encoding"] = asdict(report)
     _write_json(Path(f"{args.out}.json"), payload)
     return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED
 
@@ -215,7 +211,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     chain = sample(dataset, S=args.draws, burn=args.burn, rng=args.seed)
     chain.save_csv(Path(f"{args.out}.csv"))
     summary = bayes.posterior_summary(chain)
-    Path(f"{args.out}.txt").write_text(bayes.summary_text(chain), encoding="utf-8")
+    Path(f"{args.out}.txt").write_text(bayes.summary_text(chain, summary), encoding="utf-8")
     _write_json(Path(f"{args.out}.json"), {
         "summary": summary,
         "accept_rate": chain.accept_rate,

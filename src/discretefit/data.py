@@ -281,6 +281,20 @@ def check_square_sums(names, square_sums, error: type[Exception]) -> None:
                         "their sum of squares overflows")
 
 
+def _text_table(columns: list[tuple[str, int]], rows) -> list[str]:
+    """The lines of a text report's table: a header of the (title, width)
+    ``columns``, a dash rule as wide, then a line per (name, values) row with
+    the name left-aligned in a column at least 12 wide and each value
+    right-aligned to its column's width, rounded to 4 decimals."""
+    name_width = max([12] + [len(name) for name, _ in rows])
+    header = f"{'':{name_width}}  " + "  ".join(f"{title:>{width}}" for title, width in columns)
+    lines = [header, "-" * len(header)]
+    for name, values in rows:
+        lines.append(f"{name:{name_width}}  " + "  ".join(
+            f"{value:>{width}.4f}" for value, (_, width) in zip(values, columns)))
+    return lines
+
+
 # Records read and encoded per step of parse_csv; a chunk's rows are the
 # only per-row Python lists alive at a time.
 _CHUNK_ROWS = 1024

@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _text_table
 from .estimation import _category_differences, predict_prob
-from .likelihood import FAMILY_BINARY, FAMILY_ORDINAL, ModelSpec, ParamVector, _check_params
+from .likelihood import (FAMILY_BINARY, FAMILY_ORDINAL, ModelSpec, ParamVector,
+                         _check_dimensions, _check_params)
 from .distributions import Link
 
 
@@ -109,8 +110,15 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
                   columns: list[int] | None = None,
                   scales: dict[str, float] | None = None) -> EffectsTable:
     """Average effects for the requested columns (default: all but intercept),
-    as ``check_request`` admits them; a column of 0/1 values is an indicator."""
-    _check_params(spec, params)
+    as ``check_request`` admits them; a column of 0/1 values is an indicator.
+
+    Raises ValueError, with the likelihood's messages, for parameters that
+    do not fit ``spec`` ("beta has shape (3,), expected (2,)"), data of
+    another J ("data has J = 3 categories but spec declares J = 4") or a
+    design whose width is not k ("design has 3 columns but spec declares
+    k = 2"), then what ``check_request`` refuses.
+    """
+    _check_dimensions(spec, params, data.X, data.J)
     scales = scales or {}
     columns = check_request(spec, data, columns, scales)
     X, beta = data.X, params.beta
@@ -139,15 +147,19 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
 
 
 def odds_ratio_logit(spec: ModelSpec, params: ParamVector, m: int) -> float:
-    """exp(beta_m): the odds ratio of success for indicator m under binary logit."""
+    """exp(beta_m): the odds ratio of success for indicator m under binary logit.
+
+    Refuses another link or family (UnsupportedLinkError), parameters that
+    do not fit ``spec`` (ValueError, "beta has shape (3,), expected (2,)"),
+    the intercept (ColumnKindError: exp(beta_0) is the baseline odds, not an
+    odds ratio) and an index outside 0..k-1 ("column index 2 out of range").
+    """
     if spec.link is not Link.LOGIT:
         raise UnsupportedLinkError("odds ratios are a logit-link construct")
     if spec.family != FAMILY_BINARY:
         raise UnsupportedLinkError("odds_ratio_logit applies to the binary model")
     _check_params(spec, params)
-    if not 0 <= m < spec.k:
-        raise ValueError(f"column index {m} out of range")
-    return float(np.exp(params.beta[m]))
+    return float(np.exp(params.beta[_effect_column(spec, m)]))
 
 
 def cumulative_odds(spec: ModelSpec, params: ParamVector, x: np.ndarray, j: int) -> float:
@@ -155,15 +167,19 @@ def cumulative_odds(spec: ModelSpec, params: ParamVector, x: np.ndarray, j: int)
 
     The ratio of these odds between two covariate vectors does not depend on
     j, which is what makes the ordinal logit a proportional-odds model.
+    Refuses another link or family (UnsupportedLinkError), and raises
+    ValueError for parameters that do not fit ``spec`` ("delta has length 1,
+    expected J - 2 = 2"), an ``x`` whose length is not k ("design has 3
+    columns but spec declares k = 2") and a j outside 1..J-1.
     """
     if spec.link is not Link.LOGIT:
         raise UnsupportedLinkError("cumulative odds are a logit-link construct")
     if spec.family != FAMILY_ORDINAL:
         raise UnsupportedLinkError("cumulative_odds applies to the ordinal model")
-    _check_params(spec, params)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_dimensions(spec, params, x)
     if not 1 <= j <= spec.J - 1:
         raise ValueError(f"category {j} must lie in 1..J-1 = {spec.J - 1} (odds at J are not defined)")
-    x = np.asarray(x, dtype=float)
     gamma = params.cutpoints()
     return float(np.exp(gamma[j] - x @ params.beta))
 
@@ -171,15 +187,9 @@ def cumulative_odds(spec: ModelSpec, params: ParamVector, x: np.ndarray, j: int)
 def effects_text(table: EffectsTable, category_labels: list[str] | None = None) -> str:
     """Aligned plain-text effects table (4-decimal rounding)."""
     labels = category_labels or [f"P(y={j})" for j in range(1, table.J + 1)]
-    def row_label(eff: CovariateEffect) -> str:
-        return eff.name if eff.scale == 1.0 else f"{eff.name} (x{eff.scale:g})"
-    name_width = max(12, max((len(row_label(r)) for r in table.rows), default=12))
-    header = f"{'':{name_width}}  " + "  ".join(f"{f'dP({lab})':>14}" for lab in labels)
-    lines = [header, "-" * len(header)]
-    for eff in table.rows:
-        vals = "  ".join(f"{v:>14.4f}" for v in eff.scaled_average)
-        lines.append(f"{row_label(eff):{name_width}}  {vals}")
-    return "\n".join(lines) + "\n"
+    rows = [(eff.name if eff.scale == 1.0 else f"{eff.name} (x{eff.scale:g})", eff.scaled_average)
+            for eff in table.rows]
+    return "\n".join(_text_table([(f"dP({lab})", 14) for lab in labels], rows)) + "\n"
 
 
 def effects_report_dict(table: EffectsTable, category_labels: list[str] | None = None) -> dict:

@@ -31,13 +31,13 @@ effects take the same differences of the density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import linalg, special
 
 from . import likelihood as lk
-from .data import Dataset, check_square_sums
+from .data import Dataset, _text_table, check_square_sums
 from .likelihood import ModelSpec, ParamVector
 
 
@@ -302,12 +302,14 @@ def predict_prob(spec: ModelSpec, params: ParamVector, X_new: np.ndarray) -> np.
     """n x J matrix of cell probabilities; each row sums to one exactly.
 
     Computed as first differences of the link cdf over the cut-points, so
-    the row sum telescopes to F(inf) - F(-inf) = 1.
+    the row sum telescopes to F(inf) - F(-inf) = 1. Raises ValueError, with
+    the likelihood's messages, for parameters that do not fit ``spec``
+    ("beta has shape (3,), expected (2,)", "delta has length 1, expected
+    J - 2 = 2") or a design whose width is not k ("design has 3 columns but
+    spec declares k = 2").
     """
-    lk._check_params(spec, params)
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    if X_new.shape[1] != spec.k:
-        raise ValueError(f"design has {X_new.shape[1]} columns, spec declares k = {spec.k}")
+    lk._check_dimensions(spec, params, X_new)
     probs = _category_differences(spec.link.cdf, params.cutpoints(), X_new @ params.beta, 1.0)
     return np.stack(list(probs), axis=1)
 
@@ -315,8 +317,10 @@ def predict_prob(spec: ModelSpec, params: ParamVector, X_new: np.ndarray) -> np.
 def hit_rate(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
     """Percentage of observations whose observed category has the highest
     predicted probability; ties go to the lowest category index. It takes
-    ``predict_prob``'s probabilities one category at a time, no n x J matrix."""
-    lk._check_params(spec, params)
+    ``predict_prob``'s probabilities one category at a time, no n x J matrix.
+    Refuses what ``predict_prob`` refuses, and data of another J ("data has
+    J = 3 categories but spec declares J = 4")."""
+    lk._check_dimensions(spec, params, data.X, data.J)
     probs = _category_differences(spec.link.cdf, params.cutpoints(), data.X @ params.beta, 1.0)
     best = next(probs)
     predicted = np.ones(data.n, dtype=data.y.dtype)
@@ -363,13 +367,7 @@ def coefficient_rows(fit: FitResult, names: list[str]) -> list[dict]:
 def fit_report_dict(fit: FitResult, names: list[str]) -> dict:
     """Machine-readable report mirroring the FitResult fields."""
     return {
-        "model": {
-            "family": fit.spec.family,
-            "link": fit.spec.link.value,
-            "J": fit.spec.J,
-            "k": fit.spec.k,
-            "intercept": fit.spec.intercept,
-        },
+        "model": asdict(fit.spec),
         "coefficients": coefficient_rows(fit, names),
         "loglik_fit": fit.loglik_fit,
         "loglik_0": fit.loglik_0,
@@ -391,17 +389,9 @@ def summary_table(fit: FitResult, names: list[str]) -> str:
     Significance stars: ** for p < 0.05, * for p < 0.10 (two-sided normal).
     """
     rows = coefficient_rows(fit, names)
-    name_width = max(12, max(len(r["name"]) for r in rows))
-    header = (
-        f"{'':{name_width}}  {'estimate':>10}  {'se':>10}  {'z':>10}  {'p':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r['name']:{name_width}}  {r['estimate']:>10.4f}  {r['se']:>10.4f}  "
-            f"{r['z']:>10.4f}  {r['p']:>8.4f}  {r['stars']}"
-        )
-    lines.append("-" * len(header))
+    columns = [("estimate", 10), ("se", 10), ("z", 10), ("p", 8)]
+    table = _text_table(columns, [(r["name"], [r[key] for key, _ in columns]) for r in rows])
+    lines = table[:2] + [f"{line}  {r['stars']}" for line, r in zip(table[2:], rows)] + [table[1]]
     if fit.lr_stat is not None:
         lines.append(
             f"LR chi2({fit.lr_df}) = {fit.lr_stat:.4f}   p = {fit.lr_pvalue:.4f}"

@@ -12,9 +12,12 @@ log-difference in whichever tail of the link distribution has the smaller
 magnitude; the textbook subtraction of two cdf values loses all precision
 once both arguments are beyond ~6; only that tail's log-cdf values are
 computed, two per row or one for an end-category row. Cells whose
-log-probability falls below -745 (the smallest representable log) are
-clamped there and counted, so a line search can survive extreme parameter
-values instead of dying on -inf.
+log-probability falls below -745 are clamped there and counted, so a line
+search can survive extreme parameter values instead of dying on -inf. The
+floor is a policy, not a limit of the arithmetic: -745 is about the log of
+the smallest positive double, but the one-tail formula computes finite
+log-probabilities far below it (log Phi(-40) is about -804.6). The fit
+reports how many cells were clamped.
 
 One likelihood pass runs in two stages. The first computes the interval
 bounds and log-probabilities and sums them into the log-likelihood; it
@@ -149,12 +152,15 @@ def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     return out, n_clamped
 
 
-def _check_dimensions(spec: ModelSpec, params: ParamVector, data: Dataset) -> None:
-    if data.J != spec.J:
-        raise ValueError(f"data has J = {data.J} categories but spec declares J = {spec.J}")
-    if data.X.shape[1] != spec.k:
-        raise ValueError(f"design has {data.X.shape[1]} columns but spec declares k = {spec.k}")
+def _check_dimensions(spec: ModelSpec, params: ParamVector, X: np.ndarray, J=None) -> None:
+    """Refuse parameters, a category count (when given) or a design whose
+    last axis does not fit ``spec``, in that order; the one home of the rule
+    for every function that evaluates a model on data."""
     _check_params(spec, params)
+    if J is not None and J != spec.J:
+        raise ValueError(f"data has J = {J} categories but spec declares J = {spec.J}")
+    if X.shape[-1] != spec.k:
+        raise ValueError(f"design has {X.shape[-1]} columns but spec declares k = {spec.k}")
 
 
 def _check_params(spec: ModelSpec, params: ParamVector) -> None:
@@ -221,7 +227,7 @@ def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
     ``state`` holds the parameters, the interval bounds and the clamped
     log-probabilities, everything ``_derivative_pass`` needs.
     """
-    _check_dimensions(spec, params, data)
+    _check_dimensions(spec, params, data.X, data.J)
     a, b = _bounds(params.delta, data.y, data.X @ params.beta)
     logp, n_clamped = _interval_logprob(spec.link, a, b)
     return float(np.sum(logp)), n_clamped, (params, a, b, logp)

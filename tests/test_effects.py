@@ -150,10 +150,16 @@ class TestOddsRatio:
         with pytest.raises(ValueError, match=f"^column index {m} out of range$"):
             odds_ratio_logit(self._logit_spec(), ParamVector([0.0, 1.0]), m)
 
+    def test_intercept_refused(self):
+        # exp(beta_0) is the baseline odds, not an odds ratio
+        with pytest.raises(ColumnKindError, match="^the intercept has no covariate effect$"):
+            odds_ratio_logit(self._logit_spec(), ParamVector([0.3, 1.0]), 0)
+
 
 class TestParamsCheckedAgainstSpec:
-    """A beta or delta of the wrong length is refused by name, with the
-    messages of the likelihood's dimension check."""
+    """A beta or delta of the wrong length, data of another J and a design
+    of another width are refused by name, with the messages of the
+    likelihood's dimension check."""
 
     @pytest.mark.parametrize("params, message", [
         (ParamVector([0.1, 0.5], [0.2]), r"^delta has length 1, expected J - 2 = 2$"),
@@ -173,6 +179,28 @@ class TestParamsCheckedAgainstSpec:
             cumulative_odds(spec, ParamVector([0.0, 0.5], [0.2]), [1.0, 0.3], 3)
         with pytest.raises(ValueError, match=r"^beta has shape \(3,\), expected \(2,\)$"):
             cumulative_odds(spec, ParamVector([0.0, 0.5, 0.1], [0.2, 0.1]), [1.0, 0.3, 2.0], 2)
+
+    @pytest.mark.parametrize("J, width, message", [
+        (3, 2, r"^data has J = 3 categories but spec declares J = 4$"),
+        (4, 3, r"^design has 3 columns but spec declares k = 2$"),
+        (4, 1, r"^design has 1 columns but spec declares k = 2$"),
+    ])
+    def test_effects_table_on_data_of_another_shape(self, J, width, message):
+        spec = ModelSpec("ordinal", Link.LOGIT, J=4, k=2, intercept=True)
+        X = np.column_stack([np.ones(4), [-0.4, 0.2, 1.1, 0.0], [0.3, -0.2, 0.5, 1.0]])
+        data = Dataset(y=[1, 2, 3, 3], X=X[:, :width],
+                       column_names=["intercept", "x", "z"][:width], J=J)
+        with pytest.raises(ValueError, match=message):
+            effects_table(spec, ParamVector([0.1, 0.5], [0.2, 0.1]), data)
+
+    @pytest.mark.parametrize("x, message", [
+        ([1.0, 0.3, 2.0], r"^design has 3 columns but spec declares k = 2$"),
+        ([1.0], r"^design has 1 columns but spec declares k = 2$"),
+    ])
+    def test_cumulative_odds_on_x_of_another_width(self, x, message):
+        spec = ModelSpec("ordinal", Link.LOGIT, J=4, k=2, intercept=True)
+        with pytest.raises(ValueError, match=message):
+            cumulative_odds(spec, ParamVector([0.0, 0.5], [0.2, 0.1]), x, 2)
 
     @pytest.mark.parametrize("params, message", [
         (ParamVector([0.1]), r"^beta has shape \(1,\), expected \(2,\)$"),

@@ -527,6 +527,24 @@ def test_probabilities_refuse_params_that_do_not_fit_the_spec(params, message):
     with pytest.raises(ValueError, match=message):
         hit_rate(spec, params, data)
 
+@pytest.mark.parametrize("J, width, message", [
+    (3, 2, r"^data has J = 3 categories but spec declares J = 4$"),
+    (5, 2, r"^data has J = 5 categories but spec declares J = 4$"),
+    (4, 3, r"^design has 3 columns but spec declares k = 2$"),
+    (4, 1, r"^design has 1 columns but spec declares k = 2$"),
+])
+def test_probabilities_refuse_data_that_does_not_fit_the_spec(J, width, message):
+    # the J = 4, k = 2 spec above, on data of another J or another width
+    spec = ModelSpec("ordinal", Link.PROBIT, J=4, k=2, intercept=True)
+    params = ParamVector([0.1, 0.5], [0.2, 0.1])
+    X = np.column_stack([np.ones(3), [-0.4, 0.2, 1.1], [0.3, -0.2, 0.5]])[:, :width]
+    data = Dataset(y=[1, 2, 3], X=X, column_names=["intercept", "x", "z"][:width], J=J)
+    with pytest.raises(ValueError, match=message):
+        hit_rate(spec, params, data)
+    if J == spec.J:
+        with pytest.raises(ValueError, match=message):
+            predict_prob(spec, params, X)
+
 
 class TestSummaryTable:
     def _fixed_fit(self, z_value):

@@ -6,11 +6,16 @@ and J = 3). It also writes a seeded J = 3 survey whose schema has a
 categorical, a ``log`` and a continuous covariate and a ``missing`` token,
 and fits it and computes its effects (columns out of order, two scaled)
 under each link; that is the byte test of the categorical encoder and of
-indicator effects. Every text report, and each CSV and schema, must equal
-its copy under ``tests/golden/``. The ``.json`` reports are left out: a
-chain's last digits depend on the BLAS thread count at large n (the
-sampler's ``X.T @ z``), which the rounded text does not show; the fit and
-effects reports are thread-stable, which ``tests/test_cli.py`` checks.
+indicator effects. A copy of the ordinal file whose ``x1`` is renamed to a
+32-character name is fitted, its effects computed with that column scaled
+and with a ``--pfilter`` that keeps no row, and its chain run: the byte
+test of the tables' layout when a name or a scale label is wider than the
+12-character name column, and of a header-only table. Every text report,
+and each CSV and schema, must equal its copy under ``tests/golden/``. The
+``.json`` reports are left out: a chain's last digits depend on the BLAS
+thread count at large n (the sampler's ``X.T @ z``), which the rounded
+text does not show; the fit and effects reports are thread-stable, which
+``tests/test_cli.py`` checks.
 
 To regenerate the golden files (only for a deliberate change of output)::
 
@@ -42,6 +47,13 @@ covariate.party = categorical:ind
 covariate.age = log
 covariate.hours = continuous
 """
+WIDE = "support_for_recreational_legal_x"  # 32 characters
+WIDE_RUNS = {
+    "wide-fit": ["fit"],
+    "wide-effects": ["effects", "--scale", f"{WIDE}=10"],
+    "wide-pfilter": ["effects", "--pfilter", "1e-300"],
+    "wide-bayes": ["bayes", "--draws", "600", "--burn", "100"],
+}
 SURVEY_EFFECTS = ["--columns", "party=rep,hours,age,party=dem,party=green",
                   "--scale", "hours=10", "--scale", "age=0.1"]
 
@@ -82,7 +94,7 @@ def golden_names() -> list[str]:
     names += [f"{SURVEY}.csv", f"{SURVEY}.schema"]
     for link in ("probit", "logit"):
         names += [f"{SURVEY}-{link}-fit.txt", f"{SURVEY}-{link}-effects.txt"]
-    return names
+    return names + [f"{name}.txt" for name in WIDE_RUNS]
 
 
 def run_pipeline(workdir: Path) -> None:
@@ -107,6 +119,15 @@ def run_pipeline(workdir: Path) -> None:
         run("fit", *files, "--link", link, "--out", workdir / f"{SURVEY}-{link}-fit")
         run("effects", *files, "--link", link, *SURVEY_EFFECTS,
             "--out", workdir / f"{SURVEY}-{link}-effects")
+
+    csv_path, schema_path = workdir / "wide.csv", workdir / "wide.schema"
+    csv_path.write_text((workdir / "ord.csv").read_text(encoding="utf-8")
+                        .replace("x1", WIDE, 1), encoding="utf-8")
+    schema_path.write_text((workdir / "ord.schema").read_text(encoding="utf-8")
+                           .replace("x1", WIDE), encoding="utf-8")
+    files = ["--data", csv_path, "--schema", schema_path]
+    for name, (command, *options) in WIDE_RUNS.items():
+        run(command, *files, *options, "--out", workdir / name)
 
 
 @pytest.fixture(scope="module")
