@@ -1,17 +1,19 @@
 """Gibbs sampling for the probit model via data augmentation.
 
-One sweep loop serves every J >= 2; binary data is its J = 2 case. Each
-sweep first moves the transformed cut-points (log spacings, so order is
-preserved by construction) through a random-walk Metropolis-Hastings step
-whose acceptance ratio uses the ordinal likelihood with z integrated out,
-together with the cut-point prior. With J = 2 there is no free cut-point and
-this block is skipped. The sweep then draws the latent utilities z
-element-wise from normals truncated to the interval their observed category
-dictates, and the coefficient block from its conjugate multivariate normal
-full conditional N((B0^-1 + X'X)^-1 (B0^-1 b0 + X'z), (B0^-1 + X'X)^-1).
-Chains count y once and start from the share-quantile values of
-``likelihood.initial_params``, or from zero when a category is unobserved.
-Every row interval comes from ``likelihood._bounds``, as in the Newton fit.
+One sweep loop, ``_gibbs_probit``, serves every J >= 2 and the command line
+calls it for any J; the two public samplers differ only in the J they accept
+and in ``mh_step``. Each sweep first moves the transformed cut-points (log
+spacings, so order is preserved by construction) through a random-walk
+Metropolis-Hastings step whose acceptance ratio uses the ordinal likelihood
+with z integrated out, together with the cut-point prior. With J = 2 there
+is no free cut-point and this block is skipped. The sweep then draws the
+latent utilities z element-wise from normals truncated to the interval their
+observed category dictates, and the coefficient block from its conjugate
+multivariate normal full conditional N((B0^-1 + X'X)^-1 (B0^-1 b0 + X'z),
+(B0^-1 + X'X)^-1). Chains count y once and start from the share-quantile
+values of ``likelihood.initial_params``, or from zero when a category is
+unobserved. Every row interval comes from ``likelihood._bounds``, as in the
+Newton fit.
 
 The sweep does only the work that can change a draw, and carries no
 likelihood state from one sweep to the next. It computes X beta once per
@@ -66,7 +68,7 @@ from scipy import linalg
 from . import likelihood as lk
 from .data import Dataset, _text_table, check_square_sums
 from .distributions import Link, _check_finite_mean, _check_intervals, _trunc_norm_sampler
-from .likelihood import FAMILY_ORDINAL, ModelSpec
+from .likelihood import ModelSpec
 
 # chain length (burn-in included), burn-in, and the cut-point random-walk scale
 DEFAULT_DRAWS = 11000
@@ -245,7 +247,7 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
     k = X.shape[1]
     b0, B0 = prior.resolved(k)
     draw_beta = _coef_sampler(data, b0, B0)
-    spec = ModelSpec(family=FAMILY_ORDINAL, link=Link.PROBIT, J=data.J, k=k,
+    spec = ModelSpec(family=None, link=Link.PROBIT, J=data.J, k=k,
                      intercept=np.all(X[:, :1] == 1.0))
     counts = np.bincount(y, minlength=data.J + 1)[1:]
     start = (lk.initial_params(spec, counts) if np.all(counts)

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
-
-
-def family_for(family: str | None, J: int) -> str:
-    """The ``--family`` given, or the one J implies when it is omitted."""
-    return family or ("binary" if J == 2 else "ordinal")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -102,15 +96,13 @@ def _load_dataset(args: argparse.Namespace):
 
 
 def _model(args: argparse.Namespace):
-    """The fit options, the encoded data and the model to fit to it."""
-    # a bad setting fails before the data is read
-    opts = FitOptions(max_iter=args.max_iter, grad_tol=args.tol)
+    """The encoded data and its model; ``ModelSpec`` refuses a ``--family`` that J contradicts."""
     dataset, schema, report = _load_dataset(args)
     spec = likelihood.ModelSpec(
-        family=family_for(args.family, dataset.J), link=args.link, J=dataset.J,
+        family=args.family, link=args.link, J=dataset.J,
         k=dataset.X.shape[1], intercept="intercept" in dataset.column_names,
     )
-    return opts, dataset, schema, report, spec
+    return dataset, schema, report, spec
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -118,7 +110,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    opts, dataset, schema, report, spec = _model(args)
+    # a bad setting fails before the data is read
+    opts = FitOptions(max_iter=args.max_iter, grad_tol=args.tol)
+    dataset, schema, report, spec = _model(args)
     fit = estimation.fit_ml(spec, dataset, opts)
     text = estimation.summary_table(fit, dataset.column_names)
     text += (
@@ -140,7 +134,8 @@ def cmd_effects(args: argparse.Namespace) -> int:
         repeated = [n for i, n in enumerate(names) if n in names[:i]]
         if repeated:
             raise InputError(f"{option} names {repeated[0]!r} more than once")
-    opts, dataset, schema, report, spec = _model(args)
+    opts = FitOptions(max_iter=args.max_iter, grad_tol=args.tol)
+    dataset, schema, report, spec = _model(args)
     column_indices = None
     if columns:
         column_indices = []
@@ -177,15 +172,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InputError("--beta is required for simulate")
     if args.n < 1:
         raise InputError(f"--n must be at least 1, got {args.n}")
-    J = len(args.cutpoints) + 2
-    family = family_for(args.family, J)
-    if family == "ordinal" and J == 2:
-        raise InputError("ordinal simulation needs at least one --cutpoints value")
-    if family == "binary" and J != 2:
-        raise InputError("binary simulation takes no --cutpoints")
-    spec = likelihood.ModelSpec(
-        family=family, link=args.link, J=J, k=len(args.beta), intercept=True,
-    )
+    spec = likelihood.ModelSpec(args.family, args.link, J=len(args.cutpoints) + 2,
+                                k=len(args.beta))
     rng = np.random.default_rng(args.seed)
     dataset = data_mod.simulate_dataset(spec, args.beta, args.cutpoints, args.n, rng)
     data_mod.dataset_to_csv(args.out, dataset)
@@ -205,10 +193,8 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     bayes.check_chain_length(args.draws, args.burn)
     bayes.check_summary_draws(args.draws - args.burn)
     bayes.check_mh_step(args.mh_step)
-    dataset, schema, report = _load_dataset(args)
-    sample = (bayes.gibbs_binary_probit if family_for(args.family, dataset.J) == "binary"
-              else partial(bayes.gibbs_ordinal_probit, mh_step=args.mh_step))
-    chain = sample(dataset, S=args.draws, burn=args.burn, rng=args.seed)
+    dataset = _model(args)[0]
+    chain = bayes._gibbs_probit(dataset, None, args.draws, args.burn, args.seed, args.mh_step)
     chain.save_csv(Path(f"{args.out}.csv"))
     summary = bayes.posterior_summary(chain)
     Path(f"{args.out}.txt").write_text(bayes.summary_text(chain, summary), encoding="utf-8")

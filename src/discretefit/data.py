@@ -228,6 +228,13 @@ class SchemaConfig:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int, refused by ``name`` unless it is integral."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Dataset:
     """Encoded response vector and design matrix."""
@@ -238,9 +245,7 @@ class Dataset:
     J: int
 
     def __post_init__(self):
-        if not float(self.J).is_integer():
-            raise ValueError(f"J must be an integer, got {self.J!r}")
-        self.J = int(self.J)
+        self.J = _as_int("J", self.J)
         codes = np.asarray(self.y)
         if codes.dtype.kind not in "biu":
             values = codes.astype(float)
@@ -483,12 +488,10 @@ def simulate_dataset(spec, beta, cutpoints, n: int, rng: np.random.Generator) ->
     asks for one, is constant 1). ``cutpoints`` are the J - 2 free interior
     thresholds; the first threshold is fixed at 0.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    cutpoints = np.atleast_1d(np.asarray(cutpoints, dtype=float))
-    if beta.shape != (spec.k,):
-        raise ValueError(f"beta has length {beta.size}, spec declares k = {spec.k}")
-    if cutpoints.size != spec.J - 2:
-        raise ValueError(f"need {spec.J - 2} interior cut-points, got {cutpoints.size}")
+    from .likelihood import ParamVector, _check_params  # likelihood imports this module
+    params = ParamVector(beta, cutpoints)  # the cut-points stand where their log spacings go
+    _check_params(spec, params, "cutpoints")
+    beta, cutpoints = params.beta, params.delta
     for name, values in (("beta", beta), ("cutpoints", cutpoints)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite, got {values}")

@@ -31,8 +31,7 @@ import numpy as np
 
 from .data import Dataset, _text_table
 from .estimation import _category_differences, predict_prob
-from .likelihood import (FAMILY_BINARY, FAMILY_ORDINAL, ModelSpec, ParamVector,
-                         _check_dimensions, _check_params)
+from .likelihood import ModelSpec, ParamVector, _check_dimensions, _check_params
 from .distributions import Link
 
 
@@ -147,17 +146,17 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
 
 
 def odds_ratio_logit(spec: ModelSpec, params: ParamVector, m: int) -> float:
-    """exp(beta_m): the odds ratio of success for indicator m under binary logit.
+    """exp(beta_m), logit only: the factor by which a unit step in x_m
+    multiplies the odds of y > j, the same for every j (proportional odds).
+    At J = 2 it is the odds ratio of y = 2.
 
-    Refuses another link or family (UnsupportedLinkError), parameters that
-    do not fit ``spec`` (ValueError, "beta has shape (3,), expected (2,)"),
-    the intercept (ColumnKindError: exp(beta_0) is the baseline odds, not an
+    Refuses another link (UnsupportedLinkError), parameters that do not
+    fit ``spec`` (ValueError, "beta has shape (3,), expected (2,)"), the
+    intercept (ColumnKindError: exp(beta_0) is the baseline odds, not an
     odds ratio) and an index outside 0..k-1 ("column index 2 out of range").
     """
     if spec.link is not Link.LOGIT:
         raise UnsupportedLinkError("odds ratios are a logit-link construct")
-    if spec.family != FAMILY_BINARY:
-        raise UnsupportedLinkError("odds_ratio_logit applies to the binary model")
     _check_params(spec, params)
     return float(np.exp(params.beta[_effect_column(spec, m)]))
 
@@ -166,16 +165,15 @@ def cumulative_odds(spec: ModelSpec, params: ParamVector, x: np.ndarray, j: int)
     """Odds of y <= j at covariate vector x: exp(gamma_j - x'beta), logit only.
 
     The ratio of these odds between two covariate vectors does not depend on
-    j, which is what makes the ordinal logit a proportional-odds model.
-    Refuses another link or family (UnsupportedLinkError), and raises
-    ValueError for parameters that do not fit ``spec`` ("delta has length 1,
-    expected J - 2 = 2"), an ``x`` whose length is not k ("design has 3
-    columns but spec declares k = 2") and a j outside 1..J-1.
+    j: between x and x + e_m it is exp(beta_m), the proportional-odds model.
+    At J = 2 the odds at j = 1 are P(y = 1) / P(y = 2).
+    Refuses another link (UnsupportedLinkError), and raises ValueError for
+    parameters that do not fit ``spec`` ("delta has length 1, expected
+    J - 2 = 2"), an ``x`` whose length is not k ("design has 3 columns but
+    spec declares k = 2") and a j outside 1..J-1.
     """
     if spec.link is not Link.LOGIT:
         raise UnsupportedLinkError("cumulative odds are a logit-link construct")
-    if spec.family != FAMILY_ORDINAL:
-        raise UnsupportedLinkError("cumulative_odds applies to the ordinal model")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_dimensions(spec, params, x)
     if not 1 <= j <= spec.J - 1:

@@ -258,11 +258,11 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
 
 
 def fit_intercept_only(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> FitResult:
-    """Fit the same family/link with the design reduced to an intercept."""
+    """Fit the same link and J with the design reduced to an intercept."""
     reduced = Dataset(
         y=data.y, X=np.ones((data.n, 1)), column_names=["intercept"], J=data.J
     )
-    reduced_spec = ModelSpec(family=spec.family, link=spec.link, J=spec.J, k=1, intercept=True)
+    reduced_spec = ModelSpec(family=None, link=spec.link, J=spec.J, k=1, intercept=True)
     return fit_ml(reduced_spec, reduced, opts)
 
 

@@ -2,10 +2,10 @@
 
 Model: a latent utility z = x'beta + eps falls in category j when
 gamma_{j-1} < z <= gamma_j, with gamma_0 = -inf, gamma_1 = 0 and
-gamma_J = +inf. The interior cut-points are parametrized through their log
-spacings, delta_j = log(gamma_j - gamma_{j-1}) for j = 2..J-1, so any real
-delta vector yields a strictly increasing cut-point sequence and the
-optimizer can run unconstrained.
+gamma_J = +inf; binary data is the J = 2 case. The interior cut-points are
+parametrized through their log spacings, delta_j = log(gamma_j - gamma_{j-1})
+for j = 2..J-1, so any real delta vector yields a strictly increasing
+cut-point sequence and the optimizer can run unconstrained.
 
 Cell probabilities F(gamma_j - x'b) - F(gamma_{j-1} - x'b) are evaluated as a
 log-difference in whichever tail of the link distribution has the smaller
@@ -41,11 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _as_int
 from .distributions import Link, logistic_log_pdf_cdf
-
-FAMILY_BINARY = "binary"
-FAMILY_ORDINAL = "ordinal"
 
 _LOG_FLOOR = -745.0
 
@@ -57,30 +54,34 @@ _BLOCK_ROWS = 8192
 
 @dataclass
 class ModelSpec:
-    """Family, link and dimensions of a model.
+    """Link and dimensions of a model; J alone picks the model.
 
-    ``binary`` requires J = 2. ``ordinal`` is intended for J >= 3 but J = 2
-    is accepted (the cut-point vector is then empty and the model coincides
-    with the binary one).
+    ``family`` is an optional check against J: ``"binary"`` requires J = 2
+    and ``"ordinal"`` fits any J >= 2. After it, ``family`` reads the name J
+    implies, ``"binary"`` at J = 2 and ``"ordinal"`` above. J and k must be
+    integers; an integral float is taken as its int.
     """
 
-    family: str
+    family: str | None
     link: Link
     J: int
     k: int
     intercept: bool = True
 
     def __post_init__(self):
-        if self.family not in (FAMILY_BINARY, FAMILY_ORDINAL):
+        if self.family not in (None, "binary", "ordinal"):
             raise ValueError(f"unknown family {self.family!r}")
         self.link = Link(self.link)
         self.intercept = bool(self.intercept)
-        if self.family == FAMILY_BINARY and self.J != 2:
+        self.J = _as_int("J", self.J)
+        self.k = _as_int("k", self.k)
+        if self.family == "binary" and self.J != 2:
             raise ValueError(f"binary family requires J = 2, got J = {self.J}")
         if self.J < 2:
             raise ValueError(f"need at least two response categories, got J = {self.J}")
         if self.k < 1:
             raise ValueError("need at least one design column")
+        self.family = "binary" if self.J == 2 else "ordinal"
 
     @property
     def n_params(self) -> int:
@@ -163,12 +164,12 @@ def _check_dimensions(spec: ModelSpec, params: ParamVector, X: np.ndarray, J=Non
         raise ValueError(f"design has {X.shape[-1]} columns but spec declares k = {spec.k}")
 
 
-def _check_params(spec: ModelSpec, params: ParamVector) -> None:
-    """Refuse a ``beta`` that is not (k,) or a ``delta`` that is not (J - 2,)."""
+def _check_params(spec: ModelSpec, params: ParamVector, name: str = "delta") -> None:
+    """Refuse a ``beta`` that is not (k,) or a ``delta``, called ``name``, not (J - 2,)."""
     if params.beta.shape != (spec.k,):
         raise ValueError(f"beta has shape {params.beta.shape}, expected ({spec.k},)")
     if params.delta.shape != (spec.J - 2,):
-        raise ValueError(f"delta has length {params.delta.size}, expected J - 2 = {spec.J - 2}")
+        raise ValueError(f"{name} has length {params.delta.size}, expected J - 2 = {spec.J - 2}")
 
 
 def _bounds(delta, y: np.ndarray, xb) -> tuple[np.ndarray, np.ndarray]:

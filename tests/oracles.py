@@ -358,7 +358,7 @@ def gibbs_probit_reference(data, prior=None, S=11000, burn=1000, rng=0, mh_step=
     P0 = linalg.cho_solve(linalg.cho_factor(B0), np.eye(k))
     L = np.linalg.cholesky(P0 + data.X.T @ data.X)
     P0b0 = P0 @ b0
-    spec = lk.ModelSpec(family=lk.FAMILY_ORDINAL, link=Link.PROBIT, J=data.J, k=k,
+    spec = lk.ModelSpec(family=None, link=Link.PROBIT, J=data.J, k=k,
                         intercept=bool(data.n) and np.all(data.X[:, 0] == 1.0))
     counts = np.bincount(data.y, minlength=data.J + 1)[1:]
     if np.all(counts):

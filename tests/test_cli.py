@@ -64,16 +64,22 @@ class TestSimulate:
         assert rc == 0
         assert "labels = 1, 2, 3" in (tmp_path / "o.schema").read_text()
 
-    @pytest.mark.parametrize("family, cutpoints, message", [
-        ("binary", "1.0", "binary simulation takes no --cutpoints"),
-        ("ordinal", "", "ordinal simulation needs at least one --cutpoints value"),
-    ])
-    def test_contradicting_family_is_input_error(self, tmp_path, capsys, family, cutpoints,
-                                                 message):
-        rc = run(["simulate", "--family", family, "--beta", "0.3,0.5",
-                  "--cutpoints", cutpoints, "--out", tmp_path / "o.csv"])
+    def test_contradicting_family_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = run(["simulate", "--family", "binary", "--beta", "0.3,0.5",
+                  "--cutpoints", "1.0", "--out", out])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert "binary family requires J = 2, got J = 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ordinal_family_without_cutpoints_writes_the_binary_file(self, tmp_path):
+        # J = 2 is the binary model whichever family names it
+        for family in ("binary", "ordinal"):
+            assert run(["simulate", "--family", family, "--beta", "0.3,0.5",
+                        "--n", "200", "--out", tmp_path / f"{family}.csv"]) == 0
+        for ext in ("csv", "schema"):
+            assert ((tmp_path / f"ordinal.{ext}").read_bytes()
+                    == (tmp_path / f"binary.{ext}").read_bytes())
 
     @pytest.mark.parametrize("n", ["-5", "0"])
     def test_nonpositive_n_is_input_error(self, tmp_path, capsys, n):
@@ -406,17 +412,16 @@ class TestBayes:
         ])
         assert rc == 1
 
-    def test_ordinal_family_on_binary_data_is_input_error(self, tmp_path, capsys):
+    def test_ordinal_family_on_binary_data_runs_the_binary_chain(self, tmp_path):
         sim = tmp_path / "bin.csv"
         assert run(["simulate", "--family", "binary", "--beta", "0.3,0.4",
                     "--n", "200", "--out", sim]) == 0
-        rc = run([
-            "bayes", "--data", sim, "--schema", tmp_path / "bin.schema",
-            "--family", "ordinal", "--draws", "200", "--burn", "50",
-            "--out", tmp_path / "ch",
-        ])
-        assert rc == 1
-        assert "gibbs_binary_probit" in capsys.readouterr().err
+        for name, family in (("plain", []), ("ord", ["--family", "ordinal"])):
+            assert run([
+                "bayes", "--data", sim, "--schema", tmp_path / "bin.schema",
+                *family, "--draws", "200", "--burn", "50", "--out", tmp_path / name,
+            ]) == 0
+        assert (tmp_path / "ord.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_logit_link_is_input_error(self, sim_files, tmp_path, capsys):
         data_path, schema_path = sim_files
@@ -743,6 +748,28 @@ class TestReproducibility:
         files_b = self._pipeline(dir_b)
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+    def test_family_on_binary_data_changes_no_byte(self, tmp_path):
+        # J alone picks the model, so a --family that fits J = 2 is only a check
+        sim = tmp_path / "bin.csv"
+        assert run(["simulate", "--link", "logit", "--beta", "0.3,-0.6,0.4",
+                    "--n", "300", "--seed", "5", "--out", sim]) == 0
+        outputs = {}
+        for name, family in (("none", []), ("binary", ["--family", "binary"]),
+                             ("ordinal", ["--family", "ordinal"])):
+            common = ["--data", sim, "--schema", tmp_path / "bin.schema", *family]
+            assert run(["fit", *common, "--link", "logit", "--out", tmp_path / f"fit-{name}"]) == 0
+            assert run(["effects", *common, "--link", "logit",
+                        "--out", tmp_path / f"eff-{name}"]) == 0
+            assert run(["bayes", *common, "--draws", "250", "--burn", "50",
+                        "--out", tmp_path / f"ch-{name}"]) == 0
+            outputs[name] = [(tmp_path / f"{stem}-{name}.{ext}").read_bytes()
+                             for stem, exts in (("fit", "txt json"), ("eff", "txt json"),
+                                                ("ch", "csv txt json"))
+                             for ext in exts.split()]
+        assert outputs["binary"] == outputs["none"]
+        assert outputs["ordinal"] == outputs["none"]
+        assert b'"family": "binary"' in (tmp_path / "fit-ordinal.json").read_bytes()
 
 
 class TestUsageErrors:

@@ -634,6 +634,15 @@ class TestSimulateDataset:
         np.testing.assert_array_equal(d1.y, d2.y)
         np.testing.assert_array_equal(d1.X, d2.X)
 
+    @pytest.mark.parametrize("beta, cutpoints, message", [
+        ([0.1, 0.2, 0.3], [0.5, 1.0], r"^beta has shape \(3,\), expected \(2,\)$"),
+        ([0.1, 0.2], [0.5], r"^cutpoints has length 1, expected J - 2 = 2$"),
+    ])
+    def test_lengths_refused_in_the_likelihood_words(self, beta, cutpoints, message):
+        spec = ModelSpec("ordinal", Link.PROBIT, J=4, k=2, intercept=True)
+        with pytest.raises(ValueError, match=message):
+            simulate_dataset(spec, beta, cutpoints, 10, np.random.default_rng(1))
+
     def test_non_increasing_cutpoints_rejected(self):
         spec = ModelSpec("ordinal", Link.PROBIT, J=4, k=1, intercept=True)
         rng = np.random.default_rng(1)

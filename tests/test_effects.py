@@ -139,11 +139,11 @@ class TestOddsRatio:
         with pytest.raises(UnsupportedLinkError):
             odds_ratio_logit(spec, ParamVector([0.0, 1.0]), 1)
 
-    def test_ordinal_family_rejected(self):
+    def test_ordinal_model_accepted(self):
+        # exp(beta_m) is the odds ratio of y > j for every j
         spec = ModelSpec("ordinal", Link.LOGIT, J=3, k=2, intercept=True)
-        with pytest.raises(UnsupportedLinkError,
-                           match="^odds_ratio_logit applies to the binary model$"):
-            odds_ratio_logit(spec, ParamVector([0.0, 1.0], [0.0]), 1)
+        value = odds_ratio_logit(spec, ParamVector([0.0, math.log(2.0)], [0.0]), 1)
+        assert value == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("m", [-1, 2])
     def test_column_index_out_of_range(self, m):
@@ -243,6 +243,26 @@ class TestCumulativeOdds:
                 cum / (1.0 - cum), rel=1e-10
             )
 
+    @pytest.mark.parametrize("J", [3, 4])
+    def test_odds_ratio_is_the_cumulative_odds_ratio_for_every_j(self, J):
+        spec = self._spec(J)
+        params = ParamVector([0.3, -0.8], np.linspace(-0.2, 0.4, J - 2))
+        x = np.array([1.0, 0.7])
+        ratio = odds_ratio_logit(spec, params, 1)
+        assert ratio == pytest.approx(math.exp(-0.8), rel=1e-12)
+        for j in range(1, J):
+            by_odds = (cumulative_odds(spec, params, x, j)
+                       / cumulative_odds(spec, params, x + [0.0, 1.0], j))
+            assert by_odds == pytest.approx(ratio, rel=1e-12)
+
+    def test_binary_odds_are_the_probability_ratio(self):
+        spec = self._spec(J=2)
+        params = ParamVector([0.2, 0.5])
+        x = np.array([1.0, -0.9])
+        probs = predict_prob(spec, params, x[None, :])[0]
+        assert cumulative_odds(spec, params, x, 1) == pytest.approx(probs[0] / probs[1],
+                                                                      rel=1e-12)
+
     def test_top_category_rejected(self):
         spec = self._spec()
         with pytest.raises(ValueError):
@@ -253,11 +273,11 @@ class TestCumulativeOdds:
         with pytest.raises(UnsupportedLinkError):
             cumulative_odds(spec, ParamVector([0.0, 0.0], [0.0]), [1.0, 0.0], 1)
 
-    def test_binary_family_rejected(self):
+    def test_binary_model_accepted(self):
+        # at J = 2 the odds of y <= 1 are exp(-x'beta)
         spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
-        with pytest.raises(UnsupportedLinkError,
-                           match="^cumulative_odds applies to the ordinal model$"):
-            cumulative_odds(spec, ParamVector([0.0, 0.0]), [1.0, 0.0], 1)
+        value = cumulative_odds(spec, ParamVector([0.0, math.log(2.0)]), [1.0, 1.0], 1)
+        assert value == pytest.approx(0.5, rel=1e-15)
 
 
 class TestEffectsTable:

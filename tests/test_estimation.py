@@ -389,6 +389,18 @@ class TestBinaryOrdinalEquivalence:
         assert fit_b.loglik_fit == pytest.approx(fit_o.loglik_fit, abs=1e-8)
         np.testing.assert_allclose(fit_b.params.beta, fit_o.params.beta, atol=1e-8)
 
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_J2_fit_is_one_model_bit_for_bit(self, link):
+        # J alone picks the model: either family name fits the same one
+        data = simulate_dataset(ModelSpec(None, link, J=2, k=3), [0.4, -0.6, 0.3], [], 500,
+                                np.random.default_rng(710))
+        fit_b = fit_ml(ModelSpec("binary", link, J=2, k=3), data)
+        fit_o = fit_ml(ModelSpec("ordinal", link, J=2, k=3), data)
+        assert np.array_equal(fit_b.params.flat, fit_o.params.flat)
+        for field in ("se", "vcov", "loglik_fit", "iterations", "converged"):
+            assert np.array_equal(getattr(fit_b, field), getattr(fit_o, field)), field
+        assert fit_b.spec == fit_o.spec
+
 
 class TestLinkScaleFolklore:
     def test_logit_probit_slope_ratio(self):

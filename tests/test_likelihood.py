@@ -474,3 +474,35 @@ class TestModelSpecValidation:
     def test_ordinal_accepts_J2(self):
         spec = ModelSpec("ordinal", Link.PROBIT, J=2, k=1)
         assert spec.n_params == 1
+
+    @pytest.mark.parametrize("family, J, message", [
+        ("multinomial", 3, "^unknown family 'multinomial'$"),
+        ("binary", 3, "^binary family requires J = 2, got J = 3$"),
+    ])
+    def test_family_refusals_named(self, family, J, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(family, Link.PROBIT, J=J, k=1)
+
+    @pytest.mark.parametrize("family", [None, "binary", "ordinal"])
+    def test_J_alone_picks_the_model(self, family):
+        spec = ModelSpec(family, Link.LOGIT, J=2, k=2)
+        assert spec.family == "binary"
+        assert spec == ModelSpec(None, Link.LOGIT, J=2, k=2)
+        if family != "binary":
+            assert ModelSpec(family, Link.LOGIT, J=3, k=2).family == "ordinal"
+
+    @pytest.mark.parametrize("J, k, message", [
+        (2.5, 2, r"^J must be an integer, got 2\.5$"),
+        (3, 1.5, r"^k must be an integer, got 1\.5$"),
+        (float("nan"), 2, r"^J must be an integer, got nan$"),
+    ])
+    def test_non_integer_dimension_refused_by_name(self, J, k, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec("ordinal", Link.PROBIT, J=J, k=k)
+
+    def test_integral_float_dimensions_become_ints(self):
+        spec = ModelSpec("ordinal", Link.PROBIT, J=3.0, k=2.0)
+        assert type(spec.J) is int and type(spec.k) is int
+        assert type(spec.n_params) is int and spec.n_params == 3
+        data = simulate_dataset(spec, [0.2, -0.4], [0.8], 50, np.random.default_rng(3))
+        assert data.J == 3 and data.X.shape == (50, 2)
