@@ -317,17 +317,30 @@ def predict_prob(spec: ModelSpec, params: ParamVector, X_new: np.ndarray) -> np.
 def hit_rate(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
     """Percentage of observations whose observed category has the highest
     predicted probability; ties go to the lowest category index. It takes
-    ``predict_prob``'s probabilities one category at a time, no n x J matrix.
-    Refuses what ``predict_prob`` refuses, and data of another J ("data has
-    J = 3 categories but spec declares J = 4")."""
+    ``predict_prob``'s probabilities one category at a time and keeps the
+    running maximum and its category in place, over one chunk of rows at a
+    time in each of the likelihood's row runs, so no n x J matrix is built
+    and each run only counts its hits. Refuses what ``predict_prob``
+    refuses, and data of another J ("data has J = 3 categories but spec
+    declares J = 4")."""
     lk._check_dimensions(spec, params, data.X, data.J)
-    probs = _category_differences(spec.link.cdf, params.cutpoints(), data.X @ params.beta, 1.0)
-    best = next(probs)
-    predicted = np.ones(data.n, dtype=data.y.dtype)
-    for j, prob in enumerate(probs, start=2):
-        predicted = np.where(prob > best, j, predicted)
-        best = np.maximum(best, prob)
-    return float(np.mean(predicted == data.y) * 100.0)
+    gamma = params.cutpoints()
+
+    def run(chunks):
+        hits = 0
+        for rows in chunks:
+            y = data.y[rows]
+            probs = _category_differences(spec.link.cdf, gamma, data.X[rows] @ params.beta, 1.0)
+            best = next(probs)
+            predicted = np.ones(y.size, dtype=y.dtype)
+            for j, prob in enumerate(probs, start=2):
+                np.copyto(predicted, j, where=prob > best)
+                np.maximum(best, prob, out=best)
+            hits += np.count_nonzero(predicted == y)
+        return hits
+
+    # a numpy division: no rows give nan and a RuntimeWarning, as a mean would
+    return float(np.float64(sum(lk._row_runs(data.n, run))) / data.n * 100.0)
 
 
 def _stars(p: float) -> str:

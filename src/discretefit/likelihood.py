@@ -22,21 +22,33 @@ reports how many cells were clamped.
 One likelihood pass runs in two stages. The first computes the interval
 bounds and log-probabilities and sums them into the log-likelihood; it
 returns them as a state. The derivative stage turns that state into the
-gradient and the Hessian. It walks the rows in blocks of a fixed size and
-evaluates the link kernels at the finite bounds only; an end-category row's
-infinite bound contributes exactly 0. For the logit it takes the log-density
-(for the ratios f/p) and the cdf (for the curvature) at each bound from one
-exp(-|w|) and one log1p. Each block adds one matrix product to a small sum
-that holds the gradient, the beta-beta Hessian and the beta-cut-point
-block, so no n x k temporary is built. Every product has the same shape, so
-the order of each sum, and every bit of the result, is the same at any BLAS
-thread count. A line search scores its candidates with the first stage
-alone and runs the derivative stage only on the candidate it accepts, so no
-bound or log-probability is computed twice.
+gradient and the Hessian. It evaluates the link kernels at the finite bounds
+only; an end-category row's infinite bound contributes exactly 0. For the
+logit it takes the log-density (for the ratios f/p) and the cdf (for the
+curvature) at each bound from one exp(-|w|) and one log1p. Each block of a
+fixed number of rows gives one matrix product, and the sum of these products
+holds the gradient, the beta-beta Hessian and the beta-cut-point block, so no
+n x k temporary is built. A line search scores its candidates with the first
+stage alone and runs the derivative stage only on the candidate it accepts,
+so no bound or log-probability is computed twice.
+
+Both stages, and the hit rate, cut the rows into one contiguous run of whole
+blocks per CPU the process may run on. The first run goes in the calling
+thread and the others on a pool of threads; numpy and scipy.special release
+the interpreter lock in their elementwise loops, so the runs overlap. Each
+run works one chunk of a few blocks at a time, so no temporary grows with n.
+The first stage writes every row's bounds and log-probability into arrays
+made for the whole pass and sums the log-probabilities there; the derivative
+stage returns each block's product and per-category sums, and the caller adds
+them in block order. Every product has the same shape, and no sum depends on
+where the runs begin, so every bit of the result is the same at any CPU
+count and at any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +60,65 @@ _LOG_FLOOR = -745.0
 
 # Rows per block of the derivative stage. A constant, so that the order of
 # every sum, and with it every bit of the gradient and the Hessian, is the
-# same on any machine and at any BLAS thread count.
+# same on any machine and at any BLAS or CPU count. A run of rows is whole
+# blocks, so a run boundary is always a block boundary.
 _BLOCK_ROWS = 8192
+# Rows a run takes through its elementwise work at once: whole blocks, few
+# enough that each thread's temporaries stay small.
+_CHUNK_ROWS = 2 * _BLOCK_ROWS
+
+# (pid, workers, executor) of the thread pool that runs the runs after the
+# first; made on first use, and again in a forked child, whose copy of the
+# pool has no threads. Two threads that race here each get a working pool;
+# the one not kept winds down once it is dropped.
+_pool = (None, 0, None)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    """The pool of at least ``workers`` threads that belongs to this process."""
+    global _pool
+    pid, size, pool = _pool
+    if pid != os.getpid() or size < workers:
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="discretefit-rows")
+        _pool = (os.getpid(), workers, pool)
+    return pool
+
+
+def _row_runs(n: int, run) -> list:
+    """[run(chunks), ...], one call per CPU, in row order: each call gets
+    the row slices of one contiguous run of whole blocks, ``_CHUNK_ROWS``
+    rows at a time. The first run goes in the calling thread, the others on
+    the pool under the caller's numpy error state; every run is waited for,
+    and the first exception in row order is raised as it was raised. Rows
+    of one block make one run and start no thread."""
+    n_blocks = -(-n // _BLOCK_ROWS)
+    n_runs = max(1, min(_cpu_count(), n_blocks))
+    edges = [min(n, n_blocks * i // n_runs * _BLOCK_ROWS) for i in range(n_runs + 1)]
+    runs = [[slice(row, min(row + _CHUNK_ROWS, stop)) for row in range(start, stop, _CHUNK_ROWS)]
+            for start, stop in zip(edges[:-1], edges[1:])]
+    if n_runs == 1:
+        return [run(runs[0])]
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def in_errstate(chunks):
+        with np.errstate(**errstate):
+            return run(chunks)
+
+    pool = _worker_pool(n_runs - 1)
+    futures = [pool.submit(in_errstate, chunks) for chunks in runs[1:]]
+    try:
+        first = run(runs[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 @dataclass
@@ -229,8 +298,17 @@ def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
     log-probabilities, everything ``_derivative_pass`` needs.
     """
     _check_dimensions(spec, params, data.X, data.J)
-    a, b = _bounds(params.delta, data.y, data.X @ params.beta)
-    logp, n_clamped = _interval_logprob(spec.link, a, b)
+    a, b, logp = np.empty((3, data.n))
+
+    def run(chunks):
+        n_clamped = 0
+        for rows in chunks:
+            a[rows], b[rows] = _bounds(params.delta, data.y[rows], data.X[rows] @ params.beta)
+            logp[rows], clamped = _interval_logprob(spec.link, a[rows], b[rows])
+            n_clamped += clamped
+        return n_clamped
+
+    n_clamped = sum(_row_runs(data.n, run))
     return float(np.sum(logp)), n_clamped, (params, a, b, logp)
 
 
@@ -241,40 +319,61 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state):
     Derivatives are taken with respect to the interval bounds, mapped
     through the (linear) bound Jacobian and then the exp-spacing chain rule;
     the Hessian is symmetrized before returning. The rows are reduced in
-    blocks of ``_BLOCK_ROWS``: each block adds one product
-    X_blk' [X_blk w | r_a - r_b | cut-point weights] to a k x (k + J - 1)
-    sum, which holds the beta-beta Hessian, the beta gradient and the
-    beta-cut-point block, and its per-category sums to a (5, J + 2) one.
+    blocks of ``_BLOCK_ROWS``: each block gives one product
+    X_blk' [X_blk w | r_a - r_b | cut-point weights], added in block order
+    to a k x (k + J - 1) sum, which holds the beta-beta Hessian, the beta
+    gradient and the beta-cut-point block, and its per-category sums, added
+    to a (5, J + 2) one.
     """
     params, a, b, logp = state
     X, y, J, k = data.X, data.y, spec.J, spec.k
     n_bins = J + 2  # bincount target length
-    prod = np.empty((k + J - 1, _BLOCK_ROWS))  # the right factor, transposed
-    cuts = np.zeros((J + 1, _BLOCK_ROWS))
+
+    def run(chunks):
+        """[(product, per-category sums), ...], one per block."""
+        scratch = np.empty((k + J, _CHUNK_ROWS))
+        prod = scratch[:k + J - 1]  # the right factor, transposed
+        # the cut-point rows 0..J of the scatter: rows 2..J-1 are prod's
+        # cut-point weights, rows 0 and 1 are the X w and r_a - r_b rows,
+        # written after the scatter, and row J is spare
+        cuts = scratch[k - 1:]
+        # bincount target of each row: its category, in its block's own bins
+        bins = np.arange(_CHUNK_ROWS) // _BLOCK_ROWS * n_bins
+        blocks = []
+        for rows in chunks:
+            (r_a, r_b), (t_a, t_b) = _bound_terms(spec.link, a[rows], b[rows], logp[rows])
+            d2aa = -t_a - r_a * r_a
+            d2bb = t_b - r_b * r_b
+            d2ab = r_a * r_b
+            X_chunk, m = X[rows], r_a.size
+            n_blocks = -(-m // _BLOCK_ROWS)
+            if m % _BLOCK_ROWS:
+                # zero rows pad the last block, so every product has one shape: a
+                # BLAS may round a product of another length by its thread count
+                X_chunk = np.zeros((n_blocks * _BLOCK_ROWS, k))
+                X_chunk[:m] = X[rows]
+                prod[:, m:] = 0.0
+            sums = np.zeros((n_blocks, 5, n_bins))
+            if J > 2:  # no free cut-point at J = 2: skip the scatter and the bincounts
+                cuts[2:J, :m] = 0.0
+                _scatter_cuts(cuts, y[rows], d2bb + d2ab, d2aa + d2ab)
+                target = y[rows] + bins[:m]
+                sums = np.stack([np.bincount(target, weights, n_blocks * n_bins)
+                                 for weights in (r_b, r_a, d2bb, d2aa, d2ab)])
+                sums = sums.reshape(5, n_blocks, n_bins).transpose(1, 0, 2)
+            np.multiply(X_chunk[:m].T, d2aa + d2bb + 2.0 * d2ab, out=prod[:k, :m])
+            np.subtract(r_a, r_b, out=prod[k, :m])
+            for i, lo in enumerate(range(0, m, _BLOCK_ROWS)):
+                block = slice(lo, lo + _BLOCK_ROWS)
+                blocks.append((X_chunk[block].T @ prod[:, block].T, sums[i]))
+        return blocks
+
     acc = np.zeros((k, k + J - 1))
     by_cat = np.zeros((5, n_bins))
-    for start in range(0, data.n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        (r_a, r_b), (t_a, t_b) = _bound_terms(spec.link, a[rows], b[rows], logp[rows])
-        d2aa = -t_a - r_a * r_a
-        d2bb = t_b - r_b * r_b
-        d2ab = r_a * r_b
-        X_blk, y_blk, m = X[rows], y[rows], r_a.size
-        if m < _BLOCK_ROWS:
-            # zero rows pad the last block, so every product has one shape: a
-            # BLAS may round a product of another length by its thread count
-            X_blk = np.zeros((_BLOCK_ROWS, k))
-            X_blk[:m] = X[rows]
-            prod[:, m:] = 0.0
-        np.multiply(X_blk[:m].T, d2aa + d2bb + 2.0 * d2ab, out=prod[:k, :m])
-        np.subtract(r_a, r_b, out=prod[k, :m])
-        if J > 2:  # no free cut-point at J = 2: skip the scatter and the bincounts
-            _scatter_cuts(cuts, y_blk, d2bb + d2ab, d2aa + d2ab)
-            prod[k + 1:, :m] = cuts[2:J, :m]
-            cuts[2:J] = 0.0
-            for row, weights in enumerate((r_b, r_a, d2bb, d2aa, d2ab)):
-                by_cat[row] += np.bincount(y_blk, weights, n_bins)
-        acc += X_blk.T @ prod.T
+    for blocks in _row_runs(data.n, run):
+        for product, sums in blocks:
+            acc += product
+            by_cat += sums
     r_b_by_cat, r_a_by_cat, bb_by_cat, aa_by_cat, ab_by_cat = by_cat
     A = _spacing_jacobian(params.delta)
     grad_delta = A.T @ (r_b_by_cat[2:J] - r_a_by_cat[3:J + 1])

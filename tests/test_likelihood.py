@@ -1,6 +1,12 @@
 """Tests for cut-point expansion, cell probabilities and analytic derivatives."""
 
+import dataclasses
 import math
+import os
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from discretefit import (
     simulate_dataset,
 )
 from discretefit import predict_prob
+from discretefit import estimation
 from discretefit import likelihood as lk
 from discretefit.likelihood import _interval_logprob, score_matrix
 
@@ -460,6 +467,157 @@ class TestBlockedDerivativeStage:
                                  (r_b, np.isinf(b)), (t_b, np.isinf(b))):
             assert np.all(values[infinite] == 0.0)
             assert np.all(values[~infinite] != 0.0)
+
+
+def _pass_outputs(spec, params, data):
+    """Every output of one pass and the hit rate, by name."""
+    ll, n_clamped, state = lk._loglik_pass(spec, params, data)
+    grad, H = lk._derivative_pass(spec, data, state)
+    _, a, b, logp = state
+    return {"ll": ll, "clamps": n_clamped, "a": a, "b": b, "logp": logp, "grad": grad,
+            "H": H, "hit_rate": estimation.hit_rate(spec, params, data)}
+
+
+def _fit_fields(fit):
+    """Every field of a FitResult, the parameter vector as its flat array."""
+    fields = {f.name: getattr(fit, f.name) for f in dataclasses.fields(fit)}
+    fields["params"] = fit.params.flat
+    return fields
+
+
+class TestSameBitsAtEveryCpuCount:
+    """A pass cuts its rows into one run of whole blocks per CPU; every
+    output keeps its bits at any CPU count, because every sum keeps its
+    order."""
+
+    BLOCK = lk._BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK + 1, 5 * BLOCK + 17])
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_passes_and_fit_identical_at_one_two_and_three_cpus(self, link, J, n, monkeypatch):
+        spec, params, data = _wide_instance(link, J, n=n, seed=100 + J)
+        # a steep slope of the wrong sign puts cells of x1 = +-40 below the floor
+        far = ParamVector([0.3, -20.0, -0.5], params.delta)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(lk, "_cpu_count", lambda: cpus)
+            results.append((_pass_outputs(spec, params, data), _pass_outputs(spec, far, data),
+                            _fit_fields(fit_ml(spec, data))))
+        assert results[0][1]["clamps"] > 0
+        for got in results[1:]:
+            for want_part, got_part in zip(results[0], got):
+                assert want_part.keys() == got_part.keys()
+                for name, want in want_part.items():
+                    if name == "spec":
+                        assert got_part[name] == want
+                    else:
+                        np.testing.assert_array_equal(got_part[name], want, err_msg=name)
+
+    @pytest.mark.parametrize("n, cpus, edges", [
+        (BLOCK, 3, [0, BLOCK]),
+        (BLOCK + 1, 3, [0, BLOCK, BLOCK + 1]),
+        (5 * BLOCK + 17, 3, [0, 2 * BLOCK, 4 * BLOCK, 5 * BLOCK + 17]),
+        (5 * BLOCK + 17, 2, [0, 3 * BLOCK, 5 * BLOCK + 17]),
+        (5 * BLOCK + 17, 1, [0, 5 * BLOCK + 17]),
+    ])
+    def test_runs_are_contiguous_whole_blocks_in_row_order(self, n, cpus, edges, monkeypatch):
+        monkeypatch.setattr(lk, "_cpu_count", lambda: cpus)
+        runs = lk._row_runs(n, lambda chunks: chunks)
+        assert [(chunks[0].start, chunks[-1].stop) for chunks in runs] == list(zip(edges[:-1], edges[1:]))
+        covered = [row for chunks in runs for rows in chunks for row in range(rows.start, rows.stop)]
+        assert covered == list(range(n))
+        assert all(rows.stop - rows.start <= lk._CHUNK_ROWS and rows.start % self.BLOCK == 0
+                   for chunks in runs for rows in chunks)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was asked for")
+
+        monkeypatch.setattr(lk, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(lk, "_pool", (None, 0, None))
+        monkeypatch.setattr(lk, "ThreadPoolExecutor", no_pool)
+        spec, params, data = _wide_instance(Link.PROBIT, 3, n=self.BLOCK, seed=7)
+        _pass_outputs(spec, params, data)
+        assert fit_ml(spec, data).converged
+        # a second block would ask for the pool
+        spec, params, data = _wide_instance(Link.PROBIT, 3, n=self.BLOCK + 1, seed=7)
+        with pytest.raises(AssertionError, match="a thread pool was asked for"):
+            lk._loglik_pass(spec, params, data)
+
+
+class TestRowRunFailures:
+    """A run on the pool fails the way the serial pass fails, and leaves the
+    pool usable; a forked child makes its own pool."""
+
+    BLOCK = lk._BLOCK_ROWS
+
+    def test_worker_exception_reaches_the_caller_unchanged(self, monkeypatch):
+        monkeypatch.setattr(lk, "_cpu_count", lambda: 2)
+        spec, _, data = _wide_instance(Link.LOGIT, 3, n=3 * self.BLOCK, seed=11)
+        want = _fit_fields(fit_ml(spec, data))
+        caller = threading.get_ident()
+        error = RuntimeError("kernel failed in the second run")
+        kernel = lk._interval_logprob
+
+        def failing(link, a, b):
+            if threading.get_ident() != caller:
+                raise error
+            return kernel(link, a, b)
+
+        monkeypatch.setattr(lk, "_interval_logprob", failing)
+        with pytest.raises(RuntimeError) as info:
+            fit_ml(spec, data)
+        assert info.value is error
+        monkeypatch.setattr(lk, "_interval_logprob", kernel)
+        got = _fit_fields(fit_ml(spec, data))
+        for name in ("params", "se", "loglik_fit", "history"):
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflow_in_a_worker_run_raises_under_the_callers_errstate(self, cpus, monkeypatch):
+        monkeypatch.setattr(lk, "_cpu_count", lambda: cpus)
+        spec, _, data = _wide_instance(Link.PROBIT, 3, n=2 * self.BLOCK + 1, seed=12)
+        # gamma_2 = exp(709) and a last row whose x'b is near -1.7e308: its
+        # lower bound gamma_2 - x'b overflows, in the second run at two CPUs
+        data.X[-1, 1] = -1.7e308
+        data.y[-1] = 3
+        params = ParamVector([0.3, 1.0, -0.5], [709.0])
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                lk._loglik_pass(spec, params, data)
+        with np.errstate(over="ignore"):
+            a = lk._loglik_pass(spec, params, data)[2][1]
+        assert a[-1] == np.inf and np.all(np.isfinite(a[:-1][data.y[:-1] > 1]))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_forked_child_fits_after_the_parent_made_its_pool(self, monkeypatch):
+        monkeypatch.setattr(lk, "_cpu_count", lambda: 2)
+        spec, _, data = _wide_instance(Link.PROBIT, 5, n=3 * self.BLOCK + 5, seed=13)
+        want = fit_ml(spec, data)
+        assert lk._pool[2] is not None
+        with warnings.catch_warnings():
+            # Python 3.12 warns of forking a process that runs threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = fit_ml(spec, data)
+                code = 0 if np.array_equal(got.params.flat, want.params.flat) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its fit within 120 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestModelSpecValidation:
