@@ -1,26 +1,26 @@
 """Maximum-likelihood fitting, standard errors and goodness-of-fit measures.
 
-The optimizer is a full Newton ascent on the (beta, delta) parametrization;
-each iterate's log-likelihood, gradient and Hessian come from one likelihood
-pass: the line search scores a candidate with the pass's first stage and,
-once it accepts one, runs the derivative stage on that candidate's state.
-When the negative Hessian is not positive definite a ridge is added and
-escalated by x10 until it factors; each proposed step is halved (up to 30
-times) until the log-likelihood improves. A full step that loses no more
-than a few ulps of |loglik| is also accepted, since near the optimum its
-gain can be smaller than the rounding of the n-term sum. The accepted
-iterate sequence is therefore monotone up to that rounding, and the whole
-fit is deterministic. ``FitOptions`` sets the iteration cap and the gradient
-tolerance; the other settings are the module constants below.
+The optimizer is a full Newton ascent in the coefficients and the free
+cut-points (beta, gamma_2..gamma_{J-1}), where a log-concave link makes the
+log-likelihood concave. Each iterate's log-likelihood, gradient and Hessian
+come from one likelihood pass: the line search scores a candidate with the
+pass's first stage and, once it accepts one, runs the derivative stage on
+that candidate's state. Unordered cut-points score -inf without a pass; each
+proposed step is halved (up to 30 times) until the log-likelihood improves,
+and when -H does not factor the fit stops unconverged. A full step that
+loses no more than a few ulps of |loglik| is also accepted, since near the
+optimum its gain can be smaller than the rounding of the n-term sum. The
+accepted iterate sequence is therefore monotone up to that rounding, and
+the whole fit is deterministic. ``FitOptions`` sets the iteration cap and
+the gradient tolerance; the other settings are the module constants below.
 
 The intercept-only log-likelihood behind the LR test and McFadden's R2 has
 the closed form sum_j n_j log(n_j / n), because the intercept-only model
 reproduces the observed category shares exactly.
 
 Standard errors come from the observed information (inverse negative Hessian)
-at the optimum, mapped to the (coefficients, interior cut-points) scale by
-the delta method so cut-point rows can be reported the way applied tables
-print them.
+at the optimum; in (beta, cut-point) coordinates it is already on the scale
+applied tables print.
 
 Category probabilities F(gamma_j - x'b) - F(gamma_{j-1} - x'b) come from one
 routine, ``_category_differences``, one category at a time: ``predict_prob``
@@ -45,9 +45,6 @@ from .likelihood import ModelSpec, ParamVector
 _FULL_STEP_SLACK_ULPS = 8
 # the fit stops once a step moves no parameter by more than this
 _STEP_TOL = 1e-10
-# the first ridge tried on a -H that does not factor, and its growth factor
-_RIDGE_INIT = 1e-6
-_RIDGE_FACTOR = 10.0
 # halvings of a Newton step before the line search gives up
 _MAX_HALVINGS = 30
 
@@ -62,7 +59,9 @@ class SeparationError(EstimationError):
 
 @dataclass
 class FitOptions:
-    """The iteration cap of the Newton fit, and the max |gradient| that ends it."""
+    """The iteration cap of the Newton fit, and the max |gradient| that ends
+    it; the gradient is taken in the public (beta, delta) coordinates, the
+    coefficients and the log spacings of the cut-points."""
 
     max_iter: int = 100
     grad_tol: float = 1e-8
@@ -98,27 +97,21 @@ class FitResult:
         return self.params.cutpoints()
 
 
-def _neg_hessian_cholesky(H: np.ndarray, tau: float = 0.0):
-    """Cholesky factor of -H + tau I, or None when that is not positive definite."""
-    neg_H = -H
-    neg_H.flat[::H.shape[0] + 1] += tau
+def _neg_hessian_cholesky(H: np.ndarray):
+    """Cholesky factor of -H, or None when -H is not positive definite."""
     try:
-        return linalg.cho_factor(neg_H, lower=True)
+        return linalg.cho_factor(-H, lower=True)
     except linalg.LinAlgError:
         return None
 
 
-def _ridged_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """Solve (-H + tau I) s = grad with the smallest ridge tau that factors."""
-    tau = 0.0
-    for _ in range(40):
-        factor = _neg_hessian_cholesky(H, tau)
-        if factor is not None:
-            step = linalg.cho_solve(factor, grad)
-            if np.all(np.isfinite(step)):
-                return step
-        tau = _RIDGE_INIT if tau == 0.0 else tau * _RIDGE_FACTOR
-    return None
+def _params_at(theta: np.ndarray, k: int) -> ParamVector | None:
+    """The parameters at (beta, gamma_2..gamma_{J-1}) = ``theta``, or None
+    when the cut-points do not rise strictly, and finitely, above gamma_1 = 0."""
+    spacings = np.diff(theta[k:], prepend=0.0)
+    if not np.all((spacings > 0.0) & (spacings < np.inf)):
+        return None
+    return ParamVector(theta[:k], np.log(spacings))
 
 
 def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> np.ndarray:
@@ -146,35 +139,41 @@ def _validate_fit_inputs(spec: ModelSpec, data: Dataset) -> np.ndarray:
     return counts
 
 
-def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, theta: np.ndarray):
-    """Newton ascent from ``theta``; the last iterate comes with H and the factor of -H."""
+def _grad_max(params: ParamVector, grad: np.ndarray, H: np.ndarray) -> float:
+    """max |d loglik / d(beta, delta)| from the (beta, cut-point) derivatives:
+    ``grad_tol`` bounds the gradient in the public coordinates."""
+    return float(np.max(np.abs(lk._delta_derivatives(params.delta, grad, H)[0])))
+
+
+def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVector):
+    """Newton ascent in (beta, cut-points) from ``params``; the last iterate
+    comes with its Hessian in those coordinates and the factor of -H."""
     k = spec.k
-
-    def loglik_pass(t):
-        return lk._loglik_pass(spec, ParamVector.from_flat(t, k), data)
-
-    ll, clamps, state = loglik_pass(theta)
+    theta = np.concatenate([params.beta, params.cutpoints()[2:spec.J]])
+    ll, clamps, state = lk._loglik_pass(spec, params, data)
     grad, H = lk._derivative_pass(spec, data, state)
+    factor = _neg_hessian_cholesky(H)
     history = [ll]
 
     for _ in range(opts.max_iter):
-        if np.max(np.abs(grad)) < opts.grad_tol:
+        if _grad_max(params, grad, H) < opts.grad_tol or factor is None:
             break
-
-        direction = _ridged_direction(H, grad)
-        if direction is None:
-            break
+        direction = linalg.cho_solve(factor, grad)
         # near the optimum a full Newton step may move the log-likelihood by
         # less than the rounding of its n-term sum; accept it within a few
         # ulps so the gradient can still collapse to the tolerance
         slack = max(1e-12, _FULL_STEP_SLACK_ULPS * float(np.spacing(abs(ll))))
-        # candidates are scored by the first stage alone; the accepted one's
-        # state then yields the derivatives of the new iterate
+        # candidates are scored by the first stage alone, and unordered
+        # cut-points score -inf; the accepted one's state then yields the
+        # derivatives of the new iterate
         alpha = 1.0
         for halving in range(_MAX_HALVINGS + 1):
             step = alpha * direction
             cand = theta + step
-            cand_ll, cand_clamps, state = loglik_pass(cand)
+            cand_params = _params_at(cand, k)
+            cand_ll = -math.inf
+            if cand_params is not None:
+                cand_ll, cand_clamps, state = lk._loglik_pass(spec, cand_params, data)
             acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - slack)
             if math.isfinite(cand_ll) and acceptable:
                 break
@@ -182,9 +181,10 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, theta: np.ndarra
         else:
             break
 
-        theta = cand
+        theta, params = cand, cand_params
         ll, clamps = cand_ll, cand_clamps
         grad, H = lk._derivative_pass(spec, data, state)
+        factor = _neg_hessian_cholesky(H)
         history.append(ll)
 
         beta_max = float(np.max(np.abs(theta[:k])))
@@ -197,21 +197,8 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, theta: np.ndarra
         if np.max(np.abs(step)) < _STEP_TOL:
             break
 
-    factor = _neg_hessian_cholesky(H)
-    converged = bool(np.max(np.abs(grad)) < opts.grad_tol) and factor is not None
-    return theta, ll, H, factor, clamps, converged, history
-
-
-def _report_space_vcov(spec: ModelSpec, params: ParamVector, H: np.ndarray,
-                       factor) -> np.ndarray:
-    """Inverse observed information, mapped to (beta, cut-point) coordinates."""
-    if factor is not None:
-        vcov_flat = linalg.cho_solve(factor, np.eye(H.shape[0]))
-    else:
-        vcov_flat = np.linalg.pinv(-H)
-    jac = np.eye(spec.k + spec.J - 2)
-    jac[spec.k:, spec.k:] = lk._spacing_jacobian(params.delta)
-    return jac @ vcov_flat @ jac.T
+    converged = _grad_max(params, grad, H) < opts.grad_tol and factor is not None
+    return params, ll, H, factor, clamps, converged, history
 
 
 def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> FitResult:
@@ -226,10 +213,10 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
     opts = opts or FitOptions()
     counts = _validate_fit_inputs(spec, data)
 
-    theta, ll, H, factor, clamps, converged, history = _maximize(
-        spec, data, opts, lk.initial_params(spec, counts).flat)
-    params = ParamVector.from_flat(theta, spec.k)
-    vcov = _report_space_vcov(spec, params, H, factor)
+    params, ll, H, factor, clamps, converged, history = _maximize(
+        spec, data, opts, lk.initial_params(spec, counts))
+    # the inverse of -H in (beta, cut-points) is already the reported covariance
+    vcov = np.linalg.pinv(-H) if factor is None else linalg.cho_solve(factor, np.eye(H.shape[0]))
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
 
     if spec.intercept and spec.k == 1:

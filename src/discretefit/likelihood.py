@@ -2,10 +2,12 @@
 
 Model: a latent utility z = x'beta + eps falls in category j when
 gamma_{j-1} < z <= gamma_j, with gamma_0 = -inf, gamma_1 = 0 and
-gamma_J = +inf; binary data is the J = 2 case. The interior cut-points are
-parametrized through their log spacings, delta_j = log(gamma_j - gamma_{j-1})
-for j = 2..J-1, so any real delta vector yields a strictly increasing
-cut-point sequence and the optimizer can run unconstrained.
+gamma_J = +inf; binary data is the J = 2 case. The public parametrization
+of the interior cut-points, and the sampler's, is their log spacings,
+delta_j = log(gamma_j - gamma_{j-1}) for j = 2..J-1, so any real delta
+vector yields a strictly increasing cut-point sequence. The derivative stage
+works in the cut-points, where a log-concave link makes the log-likelihood
+concave (Pratt 1981); ``_delta_derivatives`` maps its output to delta.
 
 Cell probabilities F(gamma_j - x'b) - F(gamma_{j-1} - x'b) are evaluated as a
 log-difference in whichever tail of the link distribution has the smaller
@@ -172,11 +174,6 @@ class ParamVector:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.beta, self.delta])
 
-    @classmethod
-    def from_flat(cls, theta: np.ndarray, k: int) -> "ParamVector":
-        theta = np.asarray(theta, dtype=float)
-        return cls(beta=theta[:k], delta=theta[k:])
-
     def cutpoints(self) -> np.ndarray:
         return cutpoints_from_delta(self.delta)
 
@@ -313,19 +310,19 @@ def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
 
 
 def _derivative_pass(spec: ModelSpec, data: Dataset, state):
-    """Second stage of a pass: (gradient, Hessian) from the state of
-    ``_loglik_pass``.
+    """Second stage of a pass: (gradient, Hessian) in the coefficients and
+    the cut-points (beta, gamma_2..gamma_{J-1}) from ``_loglik_pass``'s state.
 
-    Derivatives are taken with respect to the interval bounds, mapped
-    through the (linear) bound Jacobian and then the exp-spacing chain rule;
-    the Hessian is symmetrized before returning. The rows are reduced in
-    blocks of ``_BLOCK_ROWS``: each block gives one product
+    Derivatives are taken with respect to the interval bounds and mapped
+    through the (linear) bound Jacobian; the Hessian is symmetrized before
+    returning. The rows are reduced in blocks of ``_BLOCK_ROWS``: each block
+    gives one product
     X_blk' [X_blk w | r_a - r_b | cut-point weights], added in block order
     to a k x (k + J - 1) sum, which holds the beta-beta Hessian, the beta
     gradient and the beta-cut-point block, and its per-category sums, added
     to a (5, J + 2) one.
     """
-    params, a, b, logp = state
+    _, a, b, logp = state
     X, y, J, k = data.X, data.y, spec.J, spec.k
     n_bins = J + 2  # bincount target length
 
@@ -375,14 +372,24 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state):
             acc += product
             by_cat += sums
     r_b_by_cat, r_a_by_cat, bb_by_cat, aa_by_cat, ab_by_cat = by_cat
-    A = _spacing_jacobian(params.delta)
-    grad_delta = A.T @ (r_b_by_cat[2:J] - r_a_by_cat[3:J + 1])
-    grad = np.concatenate([acc[:, k], grad_delta])
+    grad = np.concatenate([acc[:, k], r_b_by_cat[2:J] - r_a_by_cat[3:J + 1]])
     H_gg = (np.diag(bb_by_cat[2:J] + aa_by_cat[3:J + 1])
             + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
-    H_bd = -acc[:, k + 1:] @ A
-    H = np.block([[acc[:, :k], H_bd], [H_bd.T, A.T @ H_gg @ A + np.diag(grad_delta)]])
+    H = np.block([[acc[:, :k], -acc[:, k + 1:]], [-acc[:, k + 1:].T, H_gg]])
     return grad, 0.5 * (H + H.T)
+
+
+def _delta_derivatives(delta: np.ndarray, grad: np.ndarray, H: np.ndarray):
+    """The one home of the exp-spacing chain rule: (gradient, Hessian) in
+    (beta, gamma) mapped to (beta, delta), T'g and T'HT + diag(T'g) on the
+    cut-point block, with T = diag(I, A) and A the spacing Jacobian."""
+    k = grad.size - delta.size
+    A = _spacing_jacobian(delta)
+    grad_delta = A.T @ grad[k:]
+    H_bd = H[:k, k:] @ A
+    H_dd = A.T @ H[k:, k:] @ A + np.diag(grad_delta)
+    H = np.block([[H[:k, :k], H_bd], [H_bd.T, 0.5 * (H_dd + H_dd.T)]])
+    return np.concatenate([grad[:k], grad_delta]), H
 
 
 def _loglik_clamped(spec: ModelSpec, params: ParamVector, data: Dataset) -> tuple[float, int]:
@@ -409,12 +416,14 @@ def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndar
 
 def grad_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """Analytic gradient of ``loglik`` in (beta, delta) coordinates."""
-    return _derivative_pass(spec, data, _loglik_pass(spec, params, data)[2])[0]
+    state = _loglik_pass(spec, params, data)[2]
+    return _delta_derivatives(params.delta, *_derivative_pass(spec, data, state))[0]
 
 
 def hess_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """Analytic Hessian of ``loglik`` in (beta, delta) coordinates."""
-    return _derivative_pass(spec, data, _loglik_pass(spec, params, data)[2])[1]
+    state = _loglik_pass(spec, params, data)[2]
+    return _delta_derivatives(params.delta, *_derivative_pass(spec, data, state))[1]
 
 
 def initial_params(spec: ModelSpec, counts: np.ndarray) -> ParamVector:

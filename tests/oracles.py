@@ -431,16 +431,15 @@ def cut_weights_unblocked(y, J, upper, lower):
 
 
 def derivative_pass_unblocked(spec, data, state):
-    """(gradient, Hessian) from a ``_loglik_pass`` state, all rows at once."""
-    params, a, b, logp = state
+    """(gradient, Hessian) in (beta, gamma_2..gamma_{J-1}) from a
+    ``_loglik_pass`` state, all rows at once."""
+    _, a, b, logp = state
     X, y, J = data.X, data.y, spec.J
     r_a, r_b, da, db = bound_terms_unblocked(spec.link, a, b, logp)
     d2aa, d2bb, d2ab = da - r_a * r_a, db - r_b * r_b, r_a * r_b
-    A = lk._spacing_jacobian(params.delta)
     n_bins = J + 2
     grad_gamma = np.bincount(y, r_b, n_bins)[2:J] - np.bincount(y, r_a, n_bins)[3:J + 1]
-    grad_delta = A.T @ grad_gamma
-    grad = np.concatenate([X.T @ (r_a - r_b), grad_delta])
+    grad = np.concatenate([X.T @ (r_a - r_b), grad_gamma])
     H = X.T @ (X * (d2aa + d2bb + 2.0 * d2ab)[:, None])
     bb_by_cat = np.bincount(y, d2bb, n_bins)
     aa_by_cat = np.bincount(y, d2aa, n_bins)
@@ -448,7 +447,5 @@ def derivative_pass_unblocked(spec, data, state):
     H_gg = (np.diag(bb_by_cat[2:J] + aa_by_cat[3:J + 1])
             + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
     H_bg = -X.T @ cut_weights_unblocked(y, J, d2bb + d2ab, d2aa + d2ab)
-    H_dd = A.T @ H_gg @ A + np.diag(grad_delta)
-    H_bd = H_bg @ A
-    H = np.block([[H, H_bd], [H_bd.T, H_dd]])
+    H = np.block([[H, H_bg], [H_bg.T, H_gg]])
     return grad, 0.5 * (H + H.T)

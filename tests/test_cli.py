@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,25 @@ class TestFit:
         assert (tmp_path / "hard.txt").exists()
         payload = json.loads((tmp_path / "hard.json").read_text())
         assert payload["converged"] is False
+
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    def test_duplicated_column_exits_2_report_written(self, tmp_path, link):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(400)
+        y = 1 + (0.3 + 0.7 * x + rng.logistic(size=400) > 0)
+        data_path = tmp_path / "dup.csv"
+        data_path.write_text("y,x,xc\n" + "".join(f"{a},{b!r},{b!r}\n"
+                                                   for a, b in zip(y.tolist(), x.tolist())))
+        schema_path = tmp_path / "dup.schema"
+        schema_path.write_text("response = y\nlabels = 1, 2\nintercept = true\n"
+                               "covariate.x = continuous\ncovariate.xc = continuous\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["fit", "--data", data_path, "--schema", schema_path, "--link", link,
+                      "--out", tmp_path / "dup"])
+        assert rc == 2
+        assert (tmp_path / "dup.txt").exists()
+        assert json.loads((tmp_path / "dup.json").read_text())["converged"] is False
 
 
 class TestEffects:

@@ -306,26 +306,15 @@ class TestFitOptions:
 
 
 class TestNewtonBranches:
-    """The ridge, the line search and the final curvature check, each driven
-    to the branch that a well-posed fit never takes."""
+    """A -H that does not factor, the line search and the final curvature
+    check, each driven to the branch that a well-posed fit never takes, and
+    the line search's rejection of unordered cut-points."""
 
     @staticmethod
     def _instance():
         spec = ModelSpec("binary", Link.PROBIT, J=2, k=3, intercept=True)
         data = simulate_dataset(spec, [0.5, -1.0, 0.25], [], 500, np.random.default_rng(66))
         return spec, data
-
-    def test_ridge_escalates_until_an_indefinite_hessian_factors(self):
-        H = np.diag([1.0, -2.0])
-        grad = np.array([1.0, 1.0])
-        assert estimation._neg_hessian_cholesky(H) is None
-        step = estimation._ridged_direction(H, grad)
-        # tau runs 0, 1e-6, 1e-5, ..., and 10 is the first that beats -1
-        np.testing.assert_allclose(step, grad / (np.diag(-H) + 10.0), rtol=1e-12)
-
-    def test_ridge_gives_up_on_curvature_it_cannot_cover(self):
-        # the 40th ridge is 1e32, far short of the 1e40 it would need
-        assert estimation._ridged_direction(np.diag([1e40, -1.0]), np.ones(2)) is None
 
     def test_no_direction_stops_the_fit_unconverged(self, monkeypatch):
         spec, data = self._instance()
@@ -359,6 +348,29 @@ class TestNewtonBranches:
         assert fit.history == [calls[0]]
         assert len(calls) == 1 + estimation._MAX_HALVINGS + 1
 
+    def test_unordered_cut_points_are_halved_without_a_pass(self, monkeypatch):
+        spec = ModelSpec(None, Link.LOGIT, J=3, k=2)
+        data = simulate_dataset(spec, [0.3, 0.5], [1.0], 400, np.random.default_rng(5))
+        reference = fit_ml(spec, data)
+        # from a start far from the optimum the first full Newton steps
+        # overshoot and carry gamma_2 below gamma_1 = 0
+        monkeypatch.setattr(lk, "initial_params",
+                            lambda spec, counts: ParamVector([-4.0, 0.0], [0.5]))
+        params_at = estimation._params_at
+        rejected = []
+
+        def recorded(theta, k):
+            params = params_at(theta, k)
+            if params is None:
+                rejected.append(theta)
+            return params
+
+        monkeypatch.setattr(estimation, "_params_at", recorded)
+        fit = fit_ml(spec, data)
+        assert rejected and all(theta[2] <= 0.0 for theta in rejected)
+        assert fit.converged
+        np.testing.assert_allclose(fit.params.flat, reference.params.flat, rtol=0, atol=1e-8)
+
     def test_unfactorable_final_hessian_demotes_convergence(self, monkeypatch):
         spec, data = self._instance()
         reference = fit_ml(spec, data)
@@ -375,6 +387,18 @@ class TestNewtonBranches:
         assert not fit.converged
         assert fit.iterations == reference.iterations
         assert fit.history == reference.history
+
+
+@pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+def test_duplicated_column_is_not_reported_converged(link):
+    # a repeated column leaves no unique optimum: -H is singular and
+    # factors only by rounding, if at all
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(400)
+    y = 1 + (0.3 + 0.7 * x + rng.logistic(size=400) > 0)
+    data = Dataset(y=y, X=np.column_stack([np.ones(400), x, x]),
+                   column_names=["intercept", "x", "xc"], J=2)
+    assert not fit_ml(ModelSpec(None, link, J=2, k=3), data).converged
 
 
 class TestBinaryOrdinalEquivalence:

@@ -259,6 +259,20 @@ class TestHessian:
             fd = finite_diff_jac(g, theta, h=1e-5)
             np.testing.assert_allclose(H, fd, rtol=1e-4, atol=1e-5)
 
+    @pytest.mark.parametrize("J", [3, 5])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_stage_is_concave_in_the_cutpoints(self, link, J):
+        # a log-concave link makes the log-likelihood concave in (beta, gamma)
+        # wherever no cell is clamped (Pratt 1981); in (beta, delta) it is not
+        spec, data = _random_instance("ordinal", link, J=J, n=2000, seed=31)
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            params = ParamVector(rng.uniform(-3.0, 3.0, spec.k), rng.uniform(-2.0, 2.0, J - 2))
+            _, clamps, state = lk._loglik_pass(spec, params, data)
+            assert clamps == 0
+            eig = np.linalg.eigvalsh(-lk._derivative_pass(spec, data, state)[1])
+            assert eig[0] >= -1e-10 * eig[-1]
+
     def test_exactly_symmetric(self):
         spec, data = _random_instance("ordinal", Link.LOGIT, J=4, n=100, seed=27)
         params = ParamVector([0.2, -0.2, 0.4], [0.0, 0.3])
@@ -312,7 +326,7 @@ class TestFusedKernel:
         spec, data = _random_instance(family, link, J=J, n=300, seed=41)
         params = ParamVector([0.2, -0.5, 0.3], np.linspace(-0.2, 0.3, J - 2))
         ll, clamps, state = lk._loglik_pass(spec, params, data)
-        grad, H = lk._derivative_pass(spec, data, state)
+        grad, H = lk._delta_derivatives(params.delta, *lk._derivative_pass(spec, data, state))
         assert ll == loglik(spec, params, data)
         assert clamps == 0
         np.testing.assert_array_equal(grad, grad_loglik(spec, params, data))
