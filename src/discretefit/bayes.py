@@ -31,7 +31,9 @@ within that rounding of the acceptance probability. A proposal whose step,
 spacing, cut-point or prior term overflows has posterior density 0 (under
 the default prior, a log spacing past 709, where its spacing overflows,
 alone puts it below exp(-1e4)): it is rejected with no warning, and its
-acceptance uniform is still drawn, so the random stream is the same.
+acceptance uniform is still drawn, so the random stream is the same; so is
+one whose log-likelihood sum overflows. A proposal with a row interval
+narrower than the rounding scores -inf, not nan, and exp(-inf) = 0 rejects it.
 
 The latent block reads the chain's row structure, fixed by y, once per
 chain: the rows with y >= 2 have a finite lower bound and those with y < J
@@ -280,14 +282,14 @@ def _gibbs_probit(data: Dataset, prior: PriorSpec | None, S: int, burn: int,
                     proposal = delta + mh_step * rng.standard_normal(m_free)
                     a_prop, b_prop = lk._bounds(proposal, y_moved, xb_moved)
                     prop_prior = half_prec * float(proposal @ proposal)
+                    logp = lk._interval_logprob(
+                        Link.PROBIT, np.concatenate([lower_moved - xb_moved, a_prop]),
+                        np.concatenate([upper_moved - xb_moved, b_prop]))
+                    cur = float(np.sum(logp[:moved.size])) - cur_prior
+                    prop = float(np.sum(logp[moved.size:])) - prop_prior
             except FloatingPointError:
                 rng.uniform()  # posterior density 0: rejected, same stream
             else:
-                logp = lk._interval_logprob(
-                    Link.PROBIT, np.concatenate([lower_moved - xb_moved, a_prop]),
-                    np.concatenate([upper_moved - xb_moved, b_prop]))[0]
-                cur = float(np.sum(logp[:moved.size])) - cur_prior
-                prop = float(np.sum(logp[moved.size:])) - prop_prior
                 if rng.uniform() < math.exp(min(0.0, prop - cur)):
                     delta, cur_prior = proposal, prop_prior
                     accepted += 1

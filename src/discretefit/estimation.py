@@ -88,7 +88,6 @@ class FitResult:
     hit_rate: float
     iterations: int
     converged: bool
-    clamp_count: int
     n_obs: int
     history: list[float] = field(default_factory=list)
 
@@ -150,7 +149,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
     comes with its Hessian in those coordinates and the factor of -H."""
     k = spec.k
     theta = np.concatenate([params.beta, params.cutpoints()[2:spec.J]])
-    ll, clamps, state = lk._loglik_pass(spec, params, data)
+    ll, state = lk._loglik_pass(spec, params, data)
     grad, H = lk._derivative_pass(spec, data, state)
     factor = _neg_hessian_cholesky(H)
     history = [ll]
@@ -163,9 +162,9 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
         # less than the rounding of its n-term sum; accept it within a few
         # ulps so the gradient can still collapse to the tolerance
         slack = max(1e-12, _FULL_STEP_SLACK_ULPS * float(np.spacing(abs(ll))))
-        # candidates are scored by the first stage alone, and unordered
-        # cut-points score -inf; the accepted one's state then yields the
-        # derivatives of the new iterate
+        # candidates are scored by the first stage alone; unordered cut-points
+        # or a cell narrower than the rounding score -inf; the accepted one's
+        # state then yields the derivatives of the new iterate
         alpha = 1.0
         for halving in range(_MAX_HALVINGS + 1):
             step = alpha * direction
@@ -173,7 +172,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
             cand_params = _params_at(cand, k)
             cand_ll = -math.inf
             if cand_params is not None:
-                cand_ll, cand_clamps, state = lk._loglik_pass(spec, cand_params, data)
+                cand_ll, state = lk._loglik_pass(spec, cand_params, data)
             acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - slack)
             if math.isfinite(cand_ll) and acceptable:
                 break
@@ -181,8 +180,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
         else:
             break
 
-        theta, params = cand, cand_params
-        ll, clamps = cand_ll, cand_clamps
+        theta, params, ll = cand, cand_params, cand_ll
         grad, H = lk._derivative_pass(spec, data, state)
         factor = _neg_hessian_cholesky(H)
         history.append(ll)
@@ -198,7 +196,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
             break
 
     converged = _grad_max(params, grad, H) < opts.grad_tol and factor is not None
-    return params, ll, H, factor, clamps, converged, history
+    return params, ll, H, factor, converged, history
 
 
 def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> FitResult:
@@ -213,7 +211,7 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
     opts = opts or FitOptions()
     counts = _validate_fit_inputs(spec, data)
 
-    params, ll, H, factor, clamps, converged, history = _maximize(
+    params, ll, H, factor, converged, history = _maximize(
         spec, data, opts, lk.initial_params(spec, counts))
     # the inverse of -H in (beta, cut-points) is already the reported covariance
     vcov = np.linalg.pinv(-H) if factor is None else linalg.cho_solve(factor, np.eye(H.shape[0]))
@@ -240,7 +238,7 @@ def fit_ml(spec: ModelSpec, data: Dataset, opts: FitOptions | None = None) -> Fi
         lr_stat=lr_stat, lr_df=lr_df, lr_pvalue=lr_pvalue,
         mcfadden_r2=r2, hit_rate=hr,
         iterations=len(history) - 1, converged=converged,
-        clamp_count=clamps, n_obs=data.n, history=history,
+        n_obs=data.n, history=history,
     )
 
 
@@ -378,7 +376,6 @@ def fit_report_dict(fit: FitResult, names: list[str]) -> dict:
         "hit_rate": fit.hit_rate,
         "iterations": fit.iterations,
         "converged": fit.converged,
-        "clamp_count": fit.clamp_count,
         "n_obs": fit.n_obs,
     }
 
@@ -404,9 +401,6 @@ def summary_table(fit: FitResult, names: list[str]) -> str:
         f"n = {fit.n_obs}   loglik = {fit.loglik_fit:.4f}   "
         f"intercept-only loglik = {fit.loglik_0:.4f}"
     )
-    lines.append(
-        f"iterations = {fit.iterations}   converged = {str(fit.converged).lower()}   "
-        f"clamped cells = {fit.clamp_count}"
-    )
+    lines.append(f"iterations = {fit.iterations}   converged = {str(fit.converged).lower()}")
     lines.append("** p < 0.05, * p < 0.10")
     return "\n".join(lines) + "\n"

@@ -13,13 +13,12 @@ Cell probabilities F(gamma_j - x'b) - F(gamma_{j-1} - x'b) are evaluated as a
 log-difference in whichever tail of the link distribution has the smaller
 magnitude; the textbook subtraction of two cdf values loses all precision
 once both arguments are beyond ~6; only that tail's log-cdf values are
-computed, two per row or one for an end-category row. Cells whose
-log-probability falls below -745 are clamped there and counted, so a line
-search can survive extreme parameter values instead of dying on -inf. The
-floor is a policy, not a limit of the arithmetic: -745 is about the log of
-the smallest positive double, but the one-tail formula computes finite
-log-probabilities far below it (log Phi(-40) is about -804.6). The fit
-reports how many cells were clamped.
+computed, two per row or one for an end-category row. There is no floor:
+log-probabilities far below the log of the smallest double stay finite
+(log Phi(-40) is about -804.6), so the log-likelihood and its derivatives
+are the model's, concave in (beta, gamma) for a log-concave link. An
+interval narrower than the rounding scores -inf, which the Newton line
+search and the sampler reject.
 
 One likelihood pass runs in two stages. The first computes the interval
 bounds and log-probabilities and sums them into the log-likelihood; it
@@ -57,8 +56,6 @@ import numpy as np
 
 from .data import Dataset, _as_int
 from .distributions import Link, logistic_log_pdf_cdf
-
-_LOG_FLOOR = -745.0
 
 # Rows per block of the derivative stage. A constant, so that the order of
 # every sum, and with it every bit of the gradient and the Hessian, is the
@@ -190,7 +187,7 @@ def cutpoints_from_delta(delta) -> np.ndarray:
     return np.concatenate([[-np.inf, 0.0], np.cumsum(np.exp(delta)), [np.inf]])
 
 
-def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log(F(b) - F(a)) elementwise for a < b, tail-stable.
 
     Evaluates in the left tail when the interval midpoint is negative and in
@@ -201,7 +198,10 @@ def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     An end-category row (a = -inf or b = +inf) has lo = -inf, where the
     correction is log1p(-0) = -0 and the sum is exactly log F(hi), so such a
     row takes one log-cdf and the correction runs only where lo > -inf.
-    Returns the clamped log-probabilities and the number of clamped cells.
+    log F(lo) - log F(hi) is capped at 0 by fmin: log-cdf values a few ulps
+    apart can round out of order, and both can be -inf past |w| ~ 1e154, where
+    log1p of a value below -1, or -inf - -inf, is nan; capped, such an
+    interval gives log1p(-1) = -inf. Where log F(lo) <= log F(hi) no bit moves.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -212,11 +212,9 @@ def _interval_logprob(link: Link, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
         out = np.asarray(link.log_cdf(hi))  # an array even for 0-d input
         rows = np.flatnonzero(lo != -np.inf)
         log_hi = np.take(out, rows)
-        np.put(out, rows, log_hi + np.log1p(-np.exp(link.log_cdf(np.take(lo, rows)) - log_hi)))
-    n_clamped = int(np.sum(out < _LOG_FLOOR))
-    if n_clamped:
-        out = np.maximum(out, _LOG_FLOOR)
-    return out, n_clamped
+        log_ratio = link.log_cdf(np.take(lo, rows)) - log_hi
+        np.put(out, rows, log_hi + np.log1p(-np.exp(np.fmin(log_ratio, 0.0, out=log_ratio))))
+    return out
 
 
 def _check_dimensions(spec: ModelSpec, params: ParamVector, X: np.ndarray, J=None) -> None:
@@ -289,24 +287,21 @@ def _scatter_cuts(cuts: np.ndarray, y: np.ndarray, upper: np.ndarray, lower: np.
 
 
 def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
-    """First stage of a pass: (loglik, clamp count, state).
+    """First stage of a pass: (loglik, state).
 
-    ``state`` holds the parameters, the interval bounds and the clamped
-    log-probabilities, everything ``_derivative_pass`` needs.
+    ``state`` holds the interval bounds and the log-probabilities,
+    everything ``_derivative_pass`` needs.
     """
     _check_dimensions(spec, params, data.X, data.J)
     a, b, logp = np.empty((3, data.n))
 
     def run(chunks):
-        n_clamped = 0
         for rows in chunks:
             a[rows], b[rows] = _bounds(params.delta, data.y[rows], data.X[rows] @ params.beta)
-            logp[rows], clamped = _interval_logprob(spec.link, a[rows], b[rows])
-            n_clamped += clamped
-        return n_clamped
+            logp[rows] = _interval_logprob(spec.link, a[rows], b[rows])
 
-    n_clamped = sum(_row_runs(data.n, run))
-    return float(np.sum(logp)), n_clamped, (params, a, b, logp)
+    _row_runs(data.n, run)
+    return float(np.sum(logp)), (a, b, logp)
 
 
 def _derivative_pass(spec: ModelSpec, data: Dataset, state):
@@ -322,7 +317,7 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state):
     gradient and the beta-cut-point block, and its per-category sums, added
     to a (5, J + 2) one.
     """
-    _, a, b, logp = state
+    a, b, logp = state
     X, y, J, k = data.X, data.y, spec.J, spec.k
     n_bins = J + 2  # bincount target length
 
@@ -392,13 +387,15 @@ def _delta_derivatives(delta: np.ndarray, grad: np.ndarray, H: np.ndarray):
     return np.concatenate([grad[:k], grad_delta]), H
 
 
-def _loglik_clamped(spec: ModelSpec, params: ParamVector, data: Dataset) -> tuple[float, int]:
-    return _loglik_pass(spec, params, data)[:2]
+def _loglik_clamped(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
+    """``loglik`` itself, under a name kept only for the bench tracer, which
+    pins it, until ROADMAP items 0 and 11."""
+    return _loglik_pass(spec, params, data)[0]
 
 
 def loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
     """Sum of per-observation cell log-probabilities."""
-    return _loglik_clamped(spec, params, data)[0]
+    return _loglik_clamped(spec, params, data)
 
 
 def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
@@ -406,7 +403,7 @@ def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndar
 
     Row sums reproduce ``grad_loglik`` up to summation order.
     """
-    _, a, b, logp = _loglik_pass(spec, params, data)[2]
+    a, b, logp = _loglik_pass(spec, params, data)[1]
     r_a, r_b = _bound_terms(spec.link, a, b, logp)[0]
     cuts = np.zeros((spec.J + 1, data.n))
     _scatter_cuts(cuts, data.y, r_b, -r_a)
@@ -416,13 +413,13 @@ def score_matrix(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndar
 
 def grad_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """Analytic gradient of ``loglik`` in (beta, delta) coordinates."""
-    state = _loglik_pass(spec, params, data)[2]
+    state = _loglik_pass(spec, params, data)[1]
     return _delta_derivatives(params.delta, *_derivative_pass(spec, data, state))[0]
 
 
 def hess_loglik(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """Analytic Hessian of ``loglik`` in (beta, delta) coordinates."""
-    state = _loglik_pass(spec, params, data)[2]
+    state = _loglik_pass(spec, params, data)[1]
     return _delta_derivatives(params.delta, *_derivative_pass(spec, data, state))[1]
 
 

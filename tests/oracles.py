@@ -433,7 +433,7 @@ def cut_weights_unblocked(y, J, upper, lower):
 def derivative_pass_unblocked(spec, data, state):
     """(gradient, Hessian) in (beta, gamma_2..gamma_{J-1}) from a
     ``_loglik_pass`` state, all rows at once."""
-    _, a, b, logp = state
+    a, b, logp = state
     X, y, J = data.X, data.y, spec.J
     r_a, r_b, da, db = bound_terms_unblocked(spec.link, a, b, logp)
     d2aa, d2bb, d2ab = da - r_a * r_a, db - r_b * r_b, r_a * r_b

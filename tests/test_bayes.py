@@ -302,20 +302,20 @@ class TestSweepMatchesReference:
 
     @pytest.mark.parametrize("J", [3, 4])
     def test_same_draws_with_clamped_rows(self, J, monkeypatch):
-        # rows near |x'beta| = 48: log-probabilities near -1160, below the
-        # -745 clamp, and latent intervals past where log Phi underflows
+        # rows near |x'beta| = 48: log-probabilities near -1160, below
+        # -745, and latent intervals past where log Phi underflows
         data = _probit_instance(J, 300, seed=955 + J)
         b0 = np.array([0.3, -0.8, 0.4])
         data.X[np.flatnonzero(data.y == 1)[:3], 1] = -60.0
         data.X[np.flatnonzero(data.y == J)[:3], 1] = 60.0
         prior = PriorSpec(b0=b0, B0=1e-6 * np.eye(3))
-        clamped, tail_bounds = [0], []
+        deep, tail_bounds = [0], []
         original_logprob = lk._interval_logprob
         original_tail = distributions._upper_tail_draw
 
         def counting_logprob(link, a, b):
             out = original_logprob(link, a, b)
-            clamped[0] += out[1]
+            deep[0] += int(np.sum(out < -745.0))
             return out
 
         def checked_tail(a, b, u):
@@ -327,9 +327,9 @@ class TestSweepMatchesReference:
         monkeypatch.setattr(lk, "_interval_logprob", counting_logprob)
         monkeypatch.setattr(distributions, "_upper_tail_draw", checked_tail)
         got = gibbs_ordinal_probit(data, prior=prior, S=60, burn=0, mh_step=0.15, rng=45)
-        # the three moved rows with y = J clamp at the current delta and at
-        # the proposal, in every sweep after the first
-        assert clamped[0] == 2 * 3 * (60 - 1)
+        # the three moved rows with y = J fall below -745 at the current delta
+        # and at the proposal, in every sweep after the first
+        assert deep[0] == 2 * 3 * (60 - 1)
         assert max(tail_bounds) > 45.0
         monkeypatch.undo()
         want = gibbs_probit_reference(data, prior=prior, S=60, burn=0, mh_step=0.15, rng=45)

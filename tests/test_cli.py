@@ -502,6 +502,23 @@ class TestBayes:
         assert capsys.readouterr().err == ""
         assert json.loads((tmp_path / "ch.json").read_text())["accept_rate"] == 0.0
 
+    @pytest.mark.parametrize("step", ["40", "300"])
+    @pytest.mark.parametrize("cutpoints", ["1.0", "0.8,1.6"])
+    def test_large_mh_step_chain_stays_sane(self, tmp_path, capsys, cutpoints, step):
+        # a step of 40 proposes rows' intervals narrower than the rounding of
+        # their log-cdf values, and one of 300 intervals past where log Phi
+        # is -inf and log-likelihood sums that overflow: each such proposal
+        # is rejected, never accepted on a nan
+        sim = tmp_path / "sim.csv"
+        assert run(["simulate", "--beta=-0.5,1.0,0.25", "--cutpoints", cutpoints,
+                    "--n", "400", "--seed", "7", "--out", sim]) == 0
+        rc = run(["bayes", "--data", sim, "--schema", tmp_path / "sim.schema", "--draws", "600",
+                  "--burn", "100", "--mh-step", step, "--out", tmp_path / "ch"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "ch.json").read_text())["summary"]
+        assert summary[0]["name"] == "intercept" and abs(summary[0]["mean"]) < 5.0
+
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_nonfinite_mh_step_is_input_error(self, sim_files, tmp_path, capsys, step):
         data_path, schema_path = sim_files

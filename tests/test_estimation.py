@@ -261,7 +261,7 @@ class TestPassCounts:
 
     @staticmethod
     def _derivative_logliks(calls):
-        loglik_of = {id(state): ll for ll, _, state in calls["first"]}
+        loglik_of = {id(state): ll for ll, state in calls["first"]}
         return [loglik_of[id(state)] for state in calls["derivative"]]
 
     def test_full_steps_cost_one_pass_per_iterate(self, monkeypatch):
@@ -336,10 +336,10 @@ class TestNewtonBranches:
         calls = []
 
         def worse_candidates(spec, params, data):
-            ll, clamps, state = first(spec, params, data)
+            ll, state = first(spec, params, data)
             calls.append(ll)
             # every candidate scores below the start, however short the step
-            return min(ll, calls[0] - 1.0) if len(calls) > 1 else ll, clamps, state
+            return min(ll, calls[0] - 1.0) if len(calls) > 1 else ll, state
 
         monkeypatch.setattr(lk, "_loglik_pass", worse_candidates)
         fit = fit_ml(spec, data)
@@ -591,7 +591,7 @@ class TestSummaryTable:
             vcov=np.eye(1), loglik_fit=-50.0, loglik_0=-60.0,
             lr_stat=20.0, lr_df=2, lr_pvalue=4.5399929762484854e-05,
             mcfadden_r2=1.0 - 50.0 / 60.0, hit_rate=75.0, iterations=3,
-            converged=True, clamp_count=0, n_obs=100,
+            converged=True, n_obs=100,
         )
 
     def test_stars_follow_computed_p(self):

@@ -83,40 +83,41 @@ class TestCellLogprob:
 
     def test_binary_probit_half(self):
         gamma = np.array([-np.inf, 0.0, np.inf])
-        logp, _ = _interval_logprob(Link.PROBIT, gamma[:-1], gamma[1:])
+        logp = _interval_logprob(Link.PROBIT, gamma[:-1], gamma[1:])
         assert logp[0] == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_middle_cell_against_cdf_oracle(self):
         gamma = np.array([-np.inf, 0.0, 1.0, np.inf])
-        logp, _ = _interval_logprob(Link.PROBIT, gamma[:-1], gamma[1:])
+        logp = _interval_logprob(Link.PROBIT, gamma[:-1], gamma[1:])
         assert logp[1] == pytest.approx(LOG_MID_CELL, rel=1e-12)
         assert logp[2] == pytest.approx(LOG_TOP_CELL, rel=1e-12)
 
     def test_binary_logit_top_cell(self):
         gamma = np.array([-np.inf, 0.0, np.inf])
-        logp, _ = _interval_logprob(Link.LOGIT, gamma[:-1], gamma[1:])
+        logp = _interval_logprob(Link.LOGIT, gamma[:-1], gamma[1:])
         assert logp[1] == pytest.approx(math.log(0.5), abs=1e-15)
 
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_finite_out_to_35(self, link):
         gamma = np.array([-np.inf, 0.0, 1.0, np.inf])
         for xb in (-35.0, -20.0, 20.0, 34.0):
-            logp, n_clamped = _interval_logprob(link, gamma[:-1] - xb, gamma[1:] - xb)
-            assert n_clamped == 0
+            logp = _interval_logprob(link, gamma[:-1] - xb, gamma[1:] - xb)
             assert np.all(np.isfinite(logp))
             assert np.all(logp <= 0.0)
 
-    def test_deep_tail_clamps_at_floor(self):
+    def test_deep_tail_is_finite_below_the_log_of_the_smallest_double(self):
         gamma = np.array([-np.inf, 0.0, 1.0, np.inf])
-        logp, n_clamped = _interval_logprob(Link.PROBIT, gamma[:-1] + 60.0, gamma[1:] + 60.0)
-        assert logp[2] == -745.0
-        assert n_clamped == 2  # cells 2 and 3 of xb = -60
+        a, b = gamma[:-1] + 60.0, gamma[1:] + 60.0
+        logp = _interval_logprob(Link.PROBIT, a, b)
+        assert np.all(np.isfinite(logp))
+        assert np.all(logp[1:] < -745.0)  # cells 2 and 3 of xb = -60
+        np.testing.assert_array_equal(logp, _two_tail_logprob(Link.PROBIT, a, b))
 
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_cells_sum_to_one(self, link):
         gamma = cutpoints_from_delta([-0.3, 0.9])
         for xb in np.linspace(-8.0, 8.0, 33):
-            logp, _ = _interval_logprob(link, gamma[:-1] - xb, gamma[1:] - xb)
+            logp = _interval_logprob(link, gamma[:-1] - xb, gamma[1:] - xb)
             assert math.fsum(np.exp(logp)) == pytest.approx(1.0, abs=1e-12)
 
     def test_location_identification(self):
@@ -127,9 +128,9 @@ class TestCellLogprob:
         for c in (-2.0, 0.7, 4.2):
             shifted = gamma + c
             for xb in (-1.0, 0.0, 2.5):
-                base, _ = _interval_logprob(Link.PROBIT, gamma[:-1] - xb, gamma[1:] - xb)
-                moved, _ = _interval_logprob(Link.PROBIT, shifted[:-1] - (xb + c),
-                                             shifted[1:] - (xb + c))
+                base = _interval_logprob(Link.PROBIT, gamma[:-1] - xb, gamma[1:] - xb)
+                moved = _interval_logprob(Link.PROBIT, shifted[:-1] - (xb + c),
+                                          shifted[1:] - (xb + c))
                 np.testing.assert_allclose(moved, base, rtol=1e-12)
 
 
@@ -179,6 +180,22 @@ class TestLoglik:
         params = ParamVector([0.3, -0.3])
         assert loglik(spec_b, params, data) == loglik(spec_o, params, data)
 
+    def test_deep_tail_is_the_sum_of_the_two_tail_cells(self):
+        # a slope 30 times the true one puts cells of this 400-row J = 3
+        # probit set below the log of the smallest double; nothing floors them
+        spec, _, data = _wide_instance(Link.PROBIT, 3, n=400, seed=73)
+        params = ParamVector([0.3, 30.0, -0.5], [0.0])
+        a, b = lk._bounds(params.delta, data.y, data.X @ params.beta)
+        want = _two_tail_logprob(Link.PROBIT, a, b)
+        assert np.any(want < -745.0)
+        assert loglik(spec, params, data) == np.sum(want)
+
+        def f(t):
+            return loglik(spec, ParamVector(t[:spec.k], t[spec.k:]), data)
+
+        fd = finite_diff_grad(f, params.flat, h=1e-5)
+        np.testing.assert_allclose(grad_loglik(spec, params, data), fd, rtol=1e-6, atol=1e-7)
+
     def test_dimension_mismatch(self):
         spec = ModelSpec("ordinal", Link.PROBIT, J=3, k=2, intercept=True)
         data = Dataset(y=[1, 2, 3], X=np.ones((3, 1)), column_names=["x"], J=3)
@@ -197,7 +214,7 @@ class TestProportionalOdds:
             odds = []
             for x in (x1, x2):
                 xb = float(x @ params.beta)
-                probs = np.exp(_interval_logprob(spec.link, gamma[:-1] - xb, gamma[1:] - xb)[0])
+                probs = np.exp(_interval_logprob(spec.link, gamma[:-1] - xb, gamma[1:] - xb))
                 cum = sum(probs[:j])
                 odds.append(cum / (1.0 - cum))
             assert odds[0] / odds[1] == pytest.approx(expected, rel=1e-10)
@@ -263,15 +280,20 @@ class TestHessian:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_stage_is_concave_in_the_cutpoints(self, link, J):
         # a log-concave link makes the log-likelihood concave in (beta, gamma)
-        # wherever no cell is clamped (Pratt 1981); in (beta, delta) it is not
+        # (Pratt 1981), also at probit points whose cells reach far below
+        # the log of the smallest double; in (beta, delta) it is not
         spec, data = _random_instance("ordinal", link, J=J, n=2000, seed=31)
         rng = np.random.default_rng(37)
-        for _ in range(100):
-            params = ParamVector(rng.uniform(-3.0, 3.0, spec.k), rng.uniform(-2.0, 2.0, J - 2))
-            _, clamps, state = lk._loglik_pass(spec, params, data)
-            assert clamps == 0
-            eig = np.linalg.eigvalsh(-lk._derivative_pass(spec, data, state)[1])
-            assert eig[0] >= -1e-10 * eig[-1]
+        for scale in (3.0, 40.0) if link is Link.PROBIT else (3.0,):
+            deep = 0
+            for _ in range(100):
+                params = ParamVector(rng.uniform(-scale, scale, spec.k),
+                                     rng.uniform(-2.0, 2.0, J - 2))
+                _, state = lk._loglik_pass(spec, params, data)
+                deep += bool(np.any(state[2] < -745.0))
+                eig = np.linalg.eigvalsh(-lk._derivative_pass(spec, data, state)[1])
+                assert eig[0] >= -1e-10 * eig[-1]
+            assert deep > 0 or scale == 3.0
 
     def test_exactly_symmetric(self):
         spec, data = _random_instance("ordinal", Link.LOGIT, J=4, n=100, seed=27)
@@ -303,21 +325,29 @@ class TestFusedKernel:
         keep = a < b
         lo = rng.uniform(-40.0, 40.0, 2000)
         narrow = lo + 10.0 ** rng.uniform(-12.0, 0.0, lo.size)
-        a = np.concatenate([a[keep], lo])
-        b = np.concatenate([b[keep], narrow])
+        # intervals (-xb, 2e-16 - xb) a few ulps wide, those not empty once
+        # rounded, and intervals past where log Phi is -inf at both ends
+        xb = np.random.default_rng(1).normal(0.0, 1.5, 100_000)
+        tiny = -xb < 2e-16 - xb
+        a = np.concatenate([a[keep], lo, -xb[tiny], [-1e300, 1e299]])
+        b = np.concatenate([b[keep], narrow, 2e-16 - xb[tiny], [-1e299, 1e300]])
         want = _two_tail_logprob(link, a, b)
-        got, n_clamped = _interval_logprob(link, a, b)
-        assert n_clamped == int(np.sum(want < -745.0))
-        np.testing.assert_array_equal(got, np.maximum(want, -745.0))
+        got = _interval_logprob(link, a, b)
+        assert np.any(np.isnan(want)) == (link is Link.PROBIT)
+        assert not np.any(np.isnan(got))
+        # where log-cdf values round out of order or are both -inf, the
+        # reference takes log1p of a value below -1 or of nan, and the
+        # kernel log1p(-1) = -inf
+        np.testing.assert_array_equal(got, np.where(np.isnan(want), -np.inf, want))
 
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_zero_dimensional_bounds_match_arrays(self, link):
         a = np.array([-np.inf, -np.inf, -3.0, 0.5, 30.0, -30.0])
         b = np.array([-2.0, np.inf, np.inf, 0.75, 30.5, -29.5])
-        want, _ = _interval_logprob(link, a, b)
+        want = _interval_logprob(link, a, b)
         for i in range(a.size):
-            got, n_clamped = _interval_logprob(link, a[i], b[i])
-            assert np.ndim(got) == 0 and n_clamped == 0
+            got = _interval_logprob(link, a[i], b[i])
+            assert np.ndim(got) == 0
             assert got == want[i]
 
     @pytest.mark.parametrize("family,J", [("binary", 2), ("ordinal", 3), ("ordinal", 5)])
@@ -325,10 +355,9 @@ class TestFusedKernel:
     def test_stages_agree_with_public_kernels(self, family, J, link):
         spec, data = _random_instance(family, link, J=J, n=300, seed=41)
         params = ParamVector([0.2, -0.5, 0.3], np.linspace(-0.2, 0.3, J - 2))
-        ll, clamps, state = lk._loglik_pass(spec, params, data)
+        ll, state = lk._loglik_pass(spec, params, data)
         grad, H = lk._delta_derivatives(params.delta, *lk._derivative_pass(spec, data, state))
         assert ll == loglik(spec, params, data)
-        assert clamps == 0
         np.testing.assert_array_equal(grad, grad_loglik(spec, params, data))
         np.testing.assert_array_equal(H, hess_loglik(spec, params, data))
         # the per-observation scores sum to the gradient up to rounding
@@ -411,7 +440,7 @@ class TestSharedExponentialDerivatives:
         a, b = np.meshgrid(ends, ends)
         keep = a < b
         a, b = a[keep], b[keep]
-        logp, _ = _interval_logprob(link, a, b)
+        logp = _interval_logprob(link, a, b)
         np.testing.assert_array_equal(lk._bound_terms(link, a, b, logp),
                                       _inline_bound_terms(link, a, b, logp))
 
@@ -419,7 +448,7 @@ class TestSharedExponentialDerivatives:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_gradient_and_hessian_bit_identical(self, link, J, monkeypatch):
         spec, params, data = _wide_instance(link, J, n=400, seed=70 + J)
-        state = lk._loglik_pass(spec, params, data)[2]
+        state = lk._loglik_pass(spec, params, data)[1]
         grad, H = lk._derivative_pass(spec, data, state)
         assert np.all(np.isfinite(H))
         monkeypatch.setattr(lk, "_bound_terms", _inline_bound_terms)
@@ -439,7 +468,7 @@ class TestBlockedDerivativeStage:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_matches_unblocked_formulas(self, link, J, n):
         spec, params, data = _wide_instance(link, J, n=n, seed=80 + J)
-        state = lk._loglik_pass(spec, params, data)[2]
+        state = lk._loglik_pass(spec, params, data)[1]
         grad, H = lk._derivative_pass(spec, data, state)
         # relative in the max norm: an entry that cancels to near 0 keeps
         # the rounding of its largest terms
@@ -450,7 +479,7 @@ class TestBlockedDerivativeStage:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_kernels_see_only_finite_bounds(self, link, J, monkeypatch):
         spec, params, data = _wide_instance(link, J, n=self.BLOCK + 5, seed=90 + J)
-        state = lk._loglik_pass(spec, params, data)[2]
+        state = lk._loglik_pass(spec, params, data)[1]
         seen = []
 
         def recording(kernel):
@@ -473,7 +502,7 @@ class TestBlockedDerivativeStage:
     @pytest.mark.parametrize("logp", [-0.5, -745.0])
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_infinite_bounds_contribute_exactly_zero(self, link, logp):
-        # a clamped cell (log p = -745) would overflow f(w)/p at any stand-in
+        # a deep-tail cell (log p = -745) would overflow f(w)/p at any stand-in
         a = np.array([-np.inf, -np.inf, 0.3, -1.0])
         b = np.array([0.5, np.inf, np.inf, 2.0])
         (r_a, r_b), (t_a, t_b) = lk._bound_terms(link, a, b, np.full(4, logp))
@@ -485,10 +514,10 @@ class TestBlockedDerivativeStage:
 
 def _pass_outputs(spec, params, data):
     """Every output of one pass and the hit rate, by name."""
-    ll, n_clamped, state = lk._loglik_pass(spec, params, data)
+    ll, state = lk._loglik_pass(spec, params, data)
     grad, H = lk._derivative_pass(spec, data, state)
-    _, a, b, logp = state
-    return {"ll": ll, "clamps": n_clamped, "a": a, "b": b, "logp": logp, "grad": grad,
+    a, b, logp = state
+    return {"ll": ll, "a": a, "b": b, "logp": logp, "grad": grad,
             "H": H, "hit_rate": estimation.hit_rate(spec, params, data)}
 
 
@@ -511,14 +540,14 @@ class TestSameBitsAtEveryCpuCount:
     @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
     def test_passes_and_fit_identical_at_one_two_and_three_cpus(self, link, J, n, monkeypatch):
         spec, params, data = _wide_instance(link, J, n=n, seed=100 + J)
-        # a steep slope of the wrong sign puts cells of x1 = +-40 below the floor
+        # a steep slope of the wrong sign puts cells of x1 = +-40 below -745
         far = ParamVector([0.3, -20.0, -0.5], params.delta)
         results = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(lk, "_cpu_count", lambda: cpus)
             results.append((_pass_outputs(spec, params, data), _pass_outputs(spec, far, data),
                             _fit_fields(fit_ml(spec, data))))
-        assert results[0][1]["clamps"] > 0
+        assert np.any(results[0][1]["logp"] < -745.0)
         for got in results[1:]:
             for want_part, got_part in zip(results[0], got):
                 assert want_part.keys() == got_part.keys()
@@ -601,7 +630,7 @@ class TestRowRunFailures:
             with pytest.raises(FloatingPointError, match="overflow"):
                 lk._loglik_pass(spec, params, data)
         with np.errstate(over="ignore"):
-            a = lk._loglik_pass(spec, params, data)[2][1]
+            a = lk._loglik_pass(spec, params, data)[1][0]
         assert a[-1] == np.inf and np.all(np.isfinite(a[:-1][data.y[:-1] > 1]))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
