@@ -87,10 +87,11 @@ def _require_path(path: Path | None, what: str) -> Path:
 
 def _load_dataset(args: argparse.Namespace):
     """Check both paths and read the schema before the CSV, so a missing or
-    malformed schema fails without parsing the data."""
+    malformed schema fails without parsing the data, and the parse codes
+    only the schema's columns."""
     data_path = _require_path(args.data, "data")
     schema = data_mod.SchemaConfig.from_file(_require_path(args.schema, "schema"))
-    raw = data_mod.parse_csv(data_path.read_bytes())
+    raw = data_mod.parse_csv(data_path.read_bytes(), schema.columns)
     dataset, report = data_mod.build_dataset(raw, schema)
     return dataset, schema, report
 

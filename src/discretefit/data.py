@@ -5,9 +5,13 @@ contain commas and newlines, blank lines are skipped). Bytes are decoded as
 UTF-8; a leading byte-order mark is dropped. The table is held as columns
 only, with no row view: each column is one integer code per row plus its
 distinct cells in first-seen order, packed into one string, so a survey of
-a few answers per question costs a few bytes per cell. A schema config then
-drives the encoding, which strips, tests and converts each distinct raw
-cell of a used column once and gathers the results by code:
+a few answers per question costs a few bytes per cell. A parse may be given
+the names of the columns it codes (the CLI passes the schema's
+``columns``): every record is still read and checked for its width and
+quoting, so a fault anywhere names its row, but the cells of the other
+columns are never hashed or kept. A schema config then drives the
+encoding, which strips, tests and converts each distinct raw cell of a
+used column once and gathers the results by code:
 
 * rows carrying a missing-value token in the response or any used covariate
   are dropped (listwise deletion; the count is reported),
@@ -91,20 +95,19 @@ class Cells:
 
 @dataclass(eq=False)
 class RawTable:
-    """Rectangular grid of text cells with a header, held as columns only.
+    """The coded columns of a CSV table, in header order, and its record count.
 
-    Column ``j`` is ``codes[j]``, one integer per row, indexing the column's
-    distinct cells ``cells[j]`` (first-seen order): row ``i`` holds
-    ``cells[j][codes[j][i]]``.
+    ``columns`` names the coded header columns, a repeated name once per
+    copy. Column ``j`` is ``codes[j]``, one integer per row, indexing the
+    column's distinct cells ``cells[j]`` (first-seen order): row ``i`` holds
+    ``cells[j][codes[j][i]]``. ``n_raw`` counts every data record, whether
+    or not any column is coded.
     """
 
     columns: list[str]
     codes: list[np.ndarray]
     cells: list[Cells]
-
-    @property
-    def n_raw(self) -> int:
-        return self.codes[0].size if self.codes else 0
+    n_raw: int
 
     def column_index(self, name: str) -> int:
         count = self.columns.count(name)
@@ -170,6 +173,11 @@ class SchemaConfig:
     @property
     def J(self) -> int:
         return len(self.labels)
+
+    @property
+    def columns(self) -> list[str]:
+        """The data columns the encoding reads: the response, then the covariates."""
+        return [self.response] + [cov.name for cov in self.covariates]
 
     @classmethod
     def from_text(cls, text: str) -> "SchemaConfig":
@@ -341,8 +349,14 @@ class _Factor(dict):
         return code
 
 
-def parse_csv(data) -> RawTable:
-    """Parse CSV bytes/text into a RawTable. First record is the header."""
+def parse_csv(data, columns=None) -> RawTable:
+    """Parse CSV bytes/text into a RawTable. First record is the header.
+
+    Only the header columns whose names are in ``columns`` are coded, every
+    copy of a repeated name included; ``None`` codes them all. Every record
+    is still checked, so a ragged or malformed row raises ParseError naming
+    it even when the fault lies in a column not coded.
+    """
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8-sig")
@@ -358,20 +372,22 @@ def parse_csv(data) -> RawTable:
     if header is None:
         raise ParseError("empty input: no header row")
     width = len(header)
-    factors = [_Factor() for _ in header]
+    wanted = set(header if columns is None else columns)
+    coded = [j for j, name in enumerate(header) if name in wanted]
+    factors = [_Factor() for _ in coded]
     # a record takes at least one line and a comma per field after the first
     capacity = min(text.count("\n"), len(text) // max(width - 1, 1)) + 1
-    codes = np.empty((width, capacity), dtype=np.int32)
+    codes = np.empty((len(coded), capacity), dtype=np.int32)
     n = 0
     rows = _checked_rows(records, width)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         flat = list(chain.from_iterable(chunk))
-        for j, factor in enumerate(factors):
+        for j, factor, column_codes in zip(coded, factors, codes):
             column = map(factor.__getitem__, flat[j::width])
-            codes[j, n:n + len(chunk)] = np.fromiter(column, dtype=np.int32, count=len(chunk))
+            column_codes[n:n + len(chunk)] = np.fromiter(column, dtype=np.int32, count=len(chunk))
         n += len(chunk)
-    return RawTable(columns=header, codes=list(codes[:, :n]),
-                    cells=[Cells(list(factor)) for factor in factors])
+    return RawTable(columns=[header[j] for j in coded], codes=list(codes[:, :n]),
+                    cells=[Cells(list(factor)) for factor in factors], n_raw=n)
 
 
 def _number(cell: str) -> float | None:
@@ -395,8 +411,7 @@ def build_dataset(raw: RawTable, schema: SchemaConfig) -> tuple[Dataset, Encodin
     warning in the report.
     """
     missing = {tok.strip() for tok in schema.missing}
-    used = [schema.response] + [cov.name for cov in schema.covariates]
-    indices = [raw.column_index(name) for name in used]
+    indices = [raw.column_index(name) for name in schema.columns]
     columns = [(raw.codes[i], [cell.strip() for cell in raw.cells[i].tolist()]) for i in indices]
 
     for cov, (_, cells) in zip(schema.covariates, columns[1:]):

@@ -9,18 +9,23 @@ the probabilities sum to one before and after the perturbation.
 
 ``effects_table`` is the one entry point: a column of 0/1 values gets the
 indicator effect and any other column the derivative; the effect of one
-column is a table of that column. A table does the work that its columns
-share once: the density differences f(gamma_j - x'b) - f(gamma_{j-1} - x'b)
-that every continuous effect scales, from the category routine behind
-``predict_prob`` applied to the density, and the base probabilities P(x) at
-the observed design. An indicator then costs one more ``predict_prob``
-pass, on a single working copy of X with its column flipped to 1 - x_m and
-restored afterwards. Each row of that copy is the observed row with x_m
-switched to the value it does not hold, so the effect is P(x) - P(flipped)
-where x_m = 1 and P(flipped) - P(x) where x_m = 0: bit for bit the two-copy
+column is a table of that column. A table goes through the rows in the
+likelihood's row runs, one per CPU, one chunk of rows at a time, and does
+the work that its columns share once per chunk: the density differences
+f(gamma_j - x'b) - f(gamma_{j-1} - x'b) that every continuous effect
+scales, from the category routine behind ``predict_prob`` applied to the
+density, and the base probabilities P(x) at the observed design. An
+indicator then costs one more ``predict_prob`` call, on one working copy
+of the chunk's rows of X with its column flipped to 1 - x_m and restored
+afterwards. Each row of that copy is the observed row with x_m switched to
+the value it does not hold, so the effect is P(x) - P(flipped) where
+x_m = 1 and P(flipped) - P(x) where x_m = 0: bit for bit the two-copy
 P(X with x_m = 1) - P(X with x_m = 0), because the matrix product computes
-every row on its own. Shifting x'b by +-b_m instead would save the products
-but move the last bits.
+every row on its own and a chunk starts on a block boundary. Shifting x'b
+by +-b_m instead would save the products but move the last bits. Each chunk
+writes its rows of every column's per-observation effects, and each average
+is the mean of that whole array once every run is done, so every bit is the
+same at any CPU count.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .data import Dataset, _text_table
 from .estimation import _category_differences, predict_prob
-from .likelihood import ModelSpec, ParamVector, _check_dimensions, _check_params
+from .likelihood import ModelSpec, ParamVector, _check_dimensions, _check_params, _row_runs
 from .distributions import Link
 
 
@@ -122,27 +127,35 @@ def effects_table(spec: ModelSpec, params: ParamVector, data: Dataset,
     columns = check_request(spec, data, columns, scales)
     X, beta = data.X, params.beta
     kinds = [KIND_INDICATOR if _is_indicator(X[:, idx]) else KIND_CONTINUOUS for idx in columns]
-    if KIND_CONTINUOUS in kinds:
-        dens_diff = np.stack(list(_category_differences(
-            spec.link.pdf, params.cutpoints(), X @ beta, 0.0)), axis=1)
-    if KIND_INDICATOR in kinds:
-        work = X.copy()
-        base = predict_prob(spec, params, work)
-    rows = []
-    for idx, kind in zip(columns, kinds):
-        if kind == KIND_CONTINUOUS:
-            per_obs = -beta[idx] * dens_diff
-        else:
-            column = X[:, idx]
-            work[:, idx] = 1.0 - column
-            other = predict_prob(spec, params, work)
-            work[:, idx] = column
-            per_obs = np.where((column == 1.0)[:, None], base - other, other - base)
+    per_obs = [np.empty((data.n, spec.J)) for _ in columns]
+    gamma = params.cutpoints()
+
+    def run(chunks):
+        for rows in chunks:
+            if KIND_CONTINUOUS in kinds:
+                dens_diff = np.stack(list(_category_differences(
+                    spec.link.pdf, gamma, X[rows] @ beta, 0.0)), axis=1)
+            if KIND_INDICATOR in kinds:
+                work = X[rows].copy()  # C order, whatever X's; each indicator flips a column
+                base = predict_prob(spec, params, work)
+            for idx, kind, out in zip(columns, kinds, per_obs):
+                if kind == KIND_CONTINUOUS:
+                    out[rows] = -beta[idx] * dens_diff
+                else:
+                    column = X[rows, idx]
+                    work[:, idx] = 1.0 - column
+                    other = predict_prob(spec, params, work)
+                    work[:, idx] = column
+                    out[rows] = np.where((column == 1.0)[:, None], base - other, other - base)
+
+    _row_runs(data.n, run)
+    effects = []
+    for idx, kind, out in zip(columns, kinds, per_obs):
         name = data.column_names[idx]
-        rows.append(CovariateEffect(name=name, kind=kind, per_obs=per_obs,
-                                    average=per_obs.mean(axis=0),
-                                    scale=float(scales.get(name, 1.0))))
-    return EffectsTable(rows=rows, J=spec.J)
+        effects.append(CovariateEffect(name=name, kind=kind, per_obs=out,
+                                       average=out.mean(axis=0),
+                                       scale=float(scales.get(name, 1.0))))
+    return EffectsTable(rows=effects, J=spec.J)
 
 
 def odds_ratio_logit(spec: ModelSpec, params: ParamVector, m: int) -> float:

@@ -70,9 +70,10 @@ class TestParseCsv:
         table = parse_csv('a,b\n"line1\nline2",2\n')
         assert table_rows(table)[0][0] == "line1\nline2"
 
-    def test_ragged_row_names_index(self):
+    @pytest.mark.parametrize("columns", [None, ["a"], []])
+    def test_ragged_row_names_index(self, columns):
         with pytest.raises(ParseError, match="row 2"):
-            parse_csv("a,b\n1,2\n1,2,3\n")
+            parse_csv("a,b\n1,2\n1,2,3\n", columns)
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -98,23 +99,35 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="^header row: new-line character"):
             parse_csv(b"y,x\rA,1\rB,2\r")
 
-    def test_reader_error_names_the_row(self):
+    @pytest.mark.parametrize("columns", [None, ["y"], []])
+    def test_reader_error_names_the_row(self, columns):
         with pytest.raises(ParseError, match="^row 2: new-line character"):
-            parse_csv(b"y,x\nA,1\n\nB,a\rb\nA,2\n")
+            parse_csv(b"y,x\nA,1\n\nB,a\rb\nA,2\n", columns)
 
+    @pytest.mark.parametrize("columns", [None, ["a"]])
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
     @pytest.mark.parametrize("fault, message", [
         ("1,2,3", "expected 2 fields, got 3"),
         ("1,a\rb", "new-line character seen in unquoted field"),
     ])
-    def test_fault_next_to_a_chunk_boundary_names_its_row(self, offset, fault, message):
+    def test_fault_next_to_a_chunk_boundary_names_its_row(self, offset, fault, message, columns):
         # blank lines are not records and do not count
         row = data_mod._CHUNK_ROWS + offset
         lines = ["a,b"] + [f"{i},x" if i % 7 else "\n" for i in range(1, 3 * data_mod._CHUNK_ROWS)]
         records = [k for k, line in enumerate(lines) if line != "\n"]
         lines[records[row]] = fault
         with pytest.raises(ParseError, match=re.escape(f"row {row}: {message}")):
-            parse_csv("\n".join(lines) + "\n")
+            parse_csv("\n".join(lines) + "\n", columns)
+
+    def test_selected_columns_are_coded_in_header_order(self):
+        text = "a,b,a,c\n1,2,3,4\n5,6,7,8\n1,2,7,4\n"
+        full = table_rows(parse_csv(text))
+        table = parse_csv(text, ["c", "a", "zzz"])
+        assert table.columns == ["a", "a", "c"]
+        assert table_rows(table) == [[row[0], row[2], row[3]] for row in full]
+        assert table.n_raw == 3
+        empty = parse_csv(text, [])
+        assert (empty.columns, empty.codes, empty.cells, empty.n_raw) == ([], [], [], 3)
 
     @pytest.mark.parametrize("line_block", [1, 7, None])
     def test_rows_equal_the_list_of_lists(self, monkeypatch, line_block):
@@ -135,7 +148,8 @@ class TestParseCsv:
         assert table.n_raw == n
         assert all(len(c.tolist()) == len(set(c.tolist())) for c in table.cells)
 
-    def test_retained_and_peak_memory_are_a_small_multiple_of_the_input(self):
+    @pytest.mark.parametrize("schema_first", [False, True])
+    def test_retained_and_peak_memory_are_a_small_multiple_of_the_input(self, schema_first):
         # a 20,000-row survey: an id per row, integer answers and categorical ones
         rng = np.random.default_rng(4)
         n = 20_000
@@ -168,7 +182,7 @@ class TestParseCsv:
         gc.collect()
         tracemalloc.start()
         try:
-            table = parse_csv(data)
+            table = parse_csv(data, schema.columns if schema_first else None)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0]
             encoded, _ = build_dataset(table, schema)

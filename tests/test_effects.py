@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import discretefit.effects as effects_module
+import discretefit.likelihood as lk
 
 from discretefit import (
     ColumnKindError,
@@ -361,6 +362,27 @@ class TestTableBitIdentity:
             assert np.array_equal(row.average, single.average)
         assert [r.kind for r in table.rows] == ["indicator", "continuous"] * 3
         assert np.array_equal(data.X, X_before)
+
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    @pytest.mark.parametrize("J", [2, 4])
+    def test_same_bits_at_every_cpu_count(self, monkeypatch, J, link):
+        # several chunks and runs: runs start on block boundaries, and the
+        # last chunk at two CPUs holds 17 rows
+        n = 2 * lk._CHUNK_ROWS + 17
+        spec, data, params, o = _mixed_instance(n, J, link, True, seed=40 + J)
+        tables = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(lk, "_cpu_count", lambda: cpus)
+            tables.append(effects_table(spec, params, data))
+        for table in tables[1:]:
+            for row, want in zip(table.rows, tables[0].rows, strict=True):
+                assert np.array_equal(row.per_obs, want.per_obs)
+                assert np.array_equal(row.average, want.average)
+        for m in (o + 1, o + 3):
+            two_copy = _two_copy_effect(spec, params, data.X, m)
+            for table in tables:
+                assert table.rows[m - 1].kind == "indicator"
+                assert np.array_equal(table.rows[m - 1].per_obs, two_copy)
 
     def test_default_columns_skip_the_intercept(self):
         spec, data, params, _ = _mixed_instance(50, 3, Link.LOGIT, True, seed=5)
