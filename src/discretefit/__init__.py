@@ -53,8 +53,8 @@ from .likelihood import (
 
 __version__ = "0.1.0"
 
-# loglik, grad_loglik, hess_loglik, fit_intercept_only and ParamVector have no
-# caller in the package or the CLI; they stay because bench/ calls or traces them.
+# loglik, grad_loglik, hess_loglik and fit_intercept_only have no caller in
+# the package or the CLI; they stay because bench/ calls or traces them.
 __all__ = [
     "ChainDraws", "PriorSpec", "gibbs_binary_probit", "gibbs_ordinal_probit",
     "posterior_summary", "Covariate", "Dataset", "EncodingError",

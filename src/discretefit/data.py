@@ -54,8 +54,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import Link
-
 
 class ParseError(Exception):
     """Malformed CSV input."""
@@ -521,11 +519,7 @@ def simulate_dataset(spec, beta, cutpoints, n: int, rng: np.random.Generator) ->
     else:
         names = [f"x{i}" for i in range(1, spec.k + 1)]
 
-    if spec.link is Link.PROBIT:
-        eps = rng.standard_normal(n)
-    else:
-        eps = rng.logistic(size=n)
-    z = X @ beta + eps
+    z = X @ beta + spec.link.noise(rng, n)
     y = 1 + np.searchsorted(thresholds, z, side="left")
     return Dataset(y=y, X=X, column_names=names, J=spec.J)
 

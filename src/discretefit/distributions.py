@@ -10,8 +10,10 @@ accurate to well below 1e-14 absolute error. Every logistic kernel is built
 on one vectorized e = exp(-|w|), which never overflows. The cdf and density
 pick the sign-split formula per element arithmetically instead of through
 masked gathers and scatters; the log-cdf and log-density add one log1p(e)
-to max(-w, 0) or |w|. ``logistic_log_pdf_cdf`` gives the likelihood's
-derivative stage the log-density and the cdf from the same e. Truncated-normal
+to max(-w, 0) or |w|. ``Link.log_pdf_slope`` gives the likelihood's
+derivative stage the log-density and its slope f'/f, for the logit from the
+same e, and ``Link.noise`` gives the simulator the latent error's draws, so
+no other module branches on the link for arithmetic. Truncated-normal
 draws use inverse-cdf sampling, switching to a log-domain formulation once
 the truncation interval sits beyond |6| standard deviations, where the naive
 inverse cdf loses all precision. That formula has no floor on the log of
@@ -85,6 +87,24 @@ class Link(str, enum.Enum):
             return special.ndtri(p)
         return np.log(p) - np.log1p(-p)
 
+    def log_pdf_slope(self, w):
+        """(log f(w), f'(w)/f(w)): ``log_pdf``'s bits and the slope -w or
+        1 - 2 F(w), the logit's from the same exp(-|w|). The probit's
+        -w*w/2 overflows past |w| of about 1e154: call this under
+        ``np.errstate(over="ignore")`` where w may be that large."""
+        w = np.asarray(w, dtype=float)
+        if self is Link.PROBIT:
+            return self.log_pdf(w), -w
+        e = _exp_neg_abs(w)
+        # left to right: log1p(e) is taken before _logistic_cdf overwrites e
+        return _logistic_log_pdf(w, np.log1p(e)), 1.0 - 2.0 * _logistic_cdf(w, e)
+
+    def noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of the latent error: standard normal or standard logistic."""
+        if self is Link.PROBIT:
+            return rng.standard_normal(n)
+        return rng.logistic(size=n)
+
 
 def _exp_neg_abs(w: np.ndarray) -> np.ndarray:
     """exp(-|w|) in one new array; it never overflows and lies in [0, 1]."""
@@ -123,17 +143,6 @@ def _logistic_log_pdf(w: np.ndarray, log1p_e: np.ndarray) -> np.ndarray:
     terms in the same order and with the same roundings.
     """
     return -(np.abs(w) + log1p_e) - log1p_e
-
-
-def logistic_log_pdf_cdf(w) -> tuple[np.ndarray, np.ndarray]:
-    """Logistic (log f(w), F(w)) from one exp(-|w|) and one log1p.
-
-    The same bits as ``Link.LOGIT.log_pdf`` and ``Link.LOGIT.cdf``; ±inf
-    give (-inf, 0) and (-inf, 1).
-    """
-    w = np.asarray(w, dtype=float)
-    e = _exp_neg_abs(w)
-    return _logistic_log_pdf(w, np.log1p(e)), _logistic_cdf(w, e)
 
 
 def _upper_tail_draw(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -23,15 +23,15 @@ search and the sampler reject.
 One likelihood pass runs in two stages. The first computes the interval
 bounds and log-probabilities and sums them into the log-likelihood; it
 returns them as a state. The derivative stage turns that state into the
-gradient and the Hessian. It evaluates the link kernels at the finite bounds
-only; an end-category row's infinite bound contributes exactly 0. For the
-logit it takes the log-density (for the ratios f/p) and the cdf (for the
-curvature) at each bound from one exp(-|w|) and one log1p. Each block of a
-fixed number of rows gives one matrix product, and the sum of these products
-holds the gradient, the beta-beta Hessian and the beta-cut-point block, so no
-n x k temporary is built. A line search scores its candidates with the first
-stage alone and runs the derivative stage only on the candidate it accepts,
-so no bound or log-probability is computed twice.
+gradient and the Hessian. At each finite bound it takes the log-density (for
+the ratios f/p) and its slope f'/f (for the curvature) from
+``Link.log_pdf_slope``, so no branch on the link lives here; an end-category
+row's infinite bound contributes exactly 0. Each block of a fixed number of
+rows gives one matrix product, and the sum of these products holds the
+gradient, the beta-beta Hessian and the beta-cut-point block, so no n x k
+temporary is built. A line search scores its candidates with the first stage
+alone and runs the derivative stage only on the candidate it accepts, so no
+bound or log-probability is computed twice.
 
 Both stages, and the hit rate, cut the rows into one contiguous run of whole
 blocks per CPU the process may run on. The first run goes in the calling
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, _as_int
-from .distributions import Link, logistic_log_pdf_cdf
+from .distributions import Link
 
 # Rows per block of the derivative stage. A constant, so that the order of
 # every sum, and with it every bit of the gradient and the Hessian, is the
@@ -254,21 +254,16 @@ def _bound_terms(link: Link, a, b, logp):
     is g = (r_a, -r_b) and its Hessian diag(-t_a, t_b) - g g'. Both terms
     are exactly 0 at an infinite bound, which the link kernels never see:
     numpy's vectorized exp takes a slow path on -inf, and every end-category
-    row has one. The logit takes log f and F at each bound from one
-    exp(-|w|) and one log1p.
+    row has one. ``Link.log_pdf_slope`` gives log f and f'/f at each finite
+    bound, under the overflow scope its probit square needs.
     """
     w = np.concatenate([a, b])
     finite = np.flatnonzero(np.isfinite(w))
     w = np.take(w, finite)
     logp = np.take(logp, finite, mode="wrap")  # row i of a and of b is row i of logp
     with np.errstate(over="ignore"):
-        if link is Link.PROBIT:
-            r = np.exp(link.log_pdf(w) - logp)
-            slope = -w                      # phi'(w) = -w phi(w)
-        else:
-            log_f, cdf = logistic_log_pdf_cdf(w)
-            r = np.exp(log_f - logp)
-            slope = 1.0 - 2.0 * cdf         # f'(w) = f(w) (1 - 2 F(w))
+        log_f, slope = link.log_pdf_slope(w)
+        r = np.exp(log_f - logp)
     terms = np.zeros((2, 2 * np.size(a)))
     terms[0][finite] = r
     terms[1][finite] = slope * r

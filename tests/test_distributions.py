@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from discretefit import Link, trunc_norm_draws
-from discretefit.distributions import _upper_tail_draw, logistic_log_pdf_cdf
+from discretefit.distributions import _upper_tail_draw
 
 from oracles import (
     ks_statistic,
@@ -208,15 +208,15 @@ class TestLogisticLogKernels:
     @pytest.mark.parametrize("shape", [(-1,), (5, -1), (-1, 1)])
     def test_shared_exponential_matches_link_methods(self, shape):
         w = TestLogisticKernelBits()._inputs()[: 5 * 241].reshape(shape)
-        log_f, cdf = logistic_log_pdf_cdf(w)
+        log_f, slope = Link.LOGIT.log_pdf_slope(w)
         assert _same_bits(log_f, Link.LOGIT.log_pdf(w))
-        assert _same_bits(cdf, Link.LOGIT.cdf(w))
+        assert _same_bits(slope, 1.0 - 2.0 * Link.LOGIT.cdf(w))
 
     def test_shared_exponential_zero_dimensional(self):
         for v in TestLogisticKernelBits.EDGES:
-            log_f, cdf = logistic_log_pdf_cdf(v)
+            log_f, slope = Link.LOGIT.log_pdf_slope(v)
             assert _same_bits(log_f, Link.LOGIT.log_pdf(v))
-            assert _same_bits(cdf, Link.LOGIT.cdf(v))
+            assert _same_bits(slope, 1.0 - 2.0 * Link.LOGIT.cdf(v))
 
 
 class TestNormInvCdf:
@@ -266,6 +266,27 @@ class TestLinkProperties:
         with np.errstate(all="raise"):
             got = link.log_pdf(np.array([-np.inf, np.inf]))
         assert np.all(got == -np.inf)
+
+
+class TestLinkLaws:
+    """Laws every ``Link`` member keeps, so a new member is tested for free."""
+
+    @pytest.mark.parametrize("link", list(Link))
+    def test_log_pdf_slope_log_density_is_log_pdf(self, link):
+        w = np.concatenate([np.linspace(-40.0, 40.0, 801), [-np.inf, 0.0, -0.0, np.inf]])
+        assert _same_bits(link.log_pdf_slope(w)[0], link.log_pdf(w))
+
+    @pytest.mark.parametrize("link", list(Link))
+    def test_log_pdf_slope_is_log_pdf_derivative(self, link):
+        w, h = np.linspace(-5.0, 5.0, 201), 1e-5
+        fd = (link.log_pdf(w + h) - link.log_pdf(w - h)) / (2.0 * h)
+        np.testing.assert_allclose(link.log_pdf_slope(w)[1], fd, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("link", list(Link))
+    def test_noise_follows_the_link_law(self, link):
+        draws = link.noise(np.random.default_rng(5), 20_000)
+        assert draws.shape == (20_000,)
+        assert ks_statistic(draws, link.cdf) < 0.02
 
 
 class TestTruncNormSample:
