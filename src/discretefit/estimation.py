@@ -3,16 +3,19 @@
 The optimizer is a full Newton ascent in the coefficients and the free
 cut-points (beta, gamma_2..gamma_{J-1}), where a log-concave link makes the
 log-likelihood concave. Each iterate's log-likelihood, gradient and Hessian
-come from one likelihood pass: the line search scores a candidate with the
-pass's first stage and, once it accepts one, runs the derivative stage on
-that candidate's state. Unordered cut-points score -inf without a pass; each
-proposed step is halved (up to 30 times) until the log-likelihood improves,
-and when -H does not factor the fit stops unconverged. A full step that
-loses no more than a few ulps of |loglik| is also accepted, since near the
-optimum its gain can be smaller than the rounding of the n-term sum. The
-accepted iterate sequence is therefore monotone up to that rounding, and
-the whole fit is deterministic. ``FitOptions`` sets the iteration cap and
-the gradient tolerance; the other settings are the module constants below.
+come from one likelihood pass. For J >= 3 the line search scores a
+candidate with the pass's first stage and, once it accepts one, runs the
+derivative stage on that candidate's state. A binary fit scores each
+candidate with one fused pass that gives the derivatives too, so a halved
+binary candidate costs a whole pass. Unordered cut-points score -inf without
+a pass; each proposed step is halved (up to 30 times) until the
+log-likelihood improves, and when -H does not factor the fit stops
+unconverged. A full step that loses no more than a few ulps of |loglik| is
+also accepted, since near the optimum its gain can be smaller than the
+rounding of the n-term sum. The accepted iterate sequence is therefore
+monotone up to that rounding, and the whole fit is deterministic.
+``FitOptions`` sets the iteration cap and the gradient tolerance; the other
+settings are the module constants below.
 
 The intercept-only log-likelihood behind the LR test and McFadden's R2 has
 the closed form sum_j n_j log(n_j / n), because the intercept-only model
@@ -144,13 +147,29 @@ def _grad_max(params: ParamVector, grad: np.ndarray, H: np.ndarray) -> float:
     return float(np.max(np.abs(lk._delta_derivatives(params.delta, grad, H)[0])))
 
 
+def _evaluate(spec: ModelSpec, data: Dataset, params: ParamVector):
+    """(loglik, derivatives) at ``params``, where derivatives() gives the
+    (gradient, Hessian) in (beta, cut-points). At J = 2 one fused pass has
+    already made them; above, the derivative stage runs on the call, so a
+    candidate the line search rejects never pays for it."""
+    if spec.J == 2:
+        ll, grad, H = lk._binary_pass(spec, params, data)
+        return ll, lambda: (grad, H)
+    ll, state = lk._loglik_pass(spec, params, data)
+    return ll, lambda: lk._derivative_pass(spec, data, state)
+
+
 def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVector):
     """Newton ascent in (beta, cut-points) from ``params``; the last iterate
-    comes with its Hessian in those coordinates and the factor of -H."""
+    comes with its Hessian in those coordinates and the factor of -H.
+
+    ``_evaluate`` scores the start and each candidate: at J = 2 with one
+    fused pass, above with the first stage, the accepted candidate then
+    going on to the derivative stage."""
     k = spec.k
     theta = np.concatenate([params.beta, params.cutpoints()[2:spec.J]])
-    ll, state = lk._loglik_pass(spec, params, data)
-    grad, H = lk._derivative_pass(spec, data, state)
+    ll, derivatives = _evaluate(spec, data, params)
+    grad, H = derivatives()
     factor = _neg_hessian_cholesky(H)
     history = [ll]
 
@@ -162,9 +181,9 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
         # less than the rounding of its n-term sum; accept it within a few
         # ulps so the gradient can still collapse to the tolerance
         slack = max(1e-12, _FULL_STEP_SLACK_ULPS * float(np.spacing(abs(ll))))
-        # candidates are scored by the first stage alone; unordered cut-points
-        # or a cell narrower than the rounding score -inf; the accepted one's
-        # state then yields the derivatives of the new iterate
+        # unordered cut-points or a cell narrower than the rounding score
+        # -inf; the accepted candidate's derivatives are those of the new
+        # iterate
         alpha = 1.0
         for halving in range(_MAX_HALVINGS + 1):
             step = alpha * direction
@@ -172,7 +191,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
             cand_params = _params_at(cand, k)
             cand_ll = -math.inf
             if cand_params is not None:
-                cand_ll, state = lk._loglik_pass(spec, cand_params, data)
+                cand_ll, derivatives = _evaluate(spec, data, cand_params)
             acceptable = cand_ll > ll or (halving == 0 and cand_ll >= ll - slack)
             if math.isfinite(cand_ll) and acceptable:
                 break
@@ -181,7 +200,7 @@ def _maximize(spec: ModelSpec, data: Dataset, opts: FitOptions, params: ParamVec
             break
 
         theta, params, ll = cand, cand_params, cand_ll
-        grad, H = lk._derivative_pass(spec, data, state)
+        grad, H = derivatives()
         factor = _neg_hessian_cholesky(H)
         history.append(ll)
 

@@ -31,23 +31,30 @@ rows gives one matrix product, and the sum of these products holds the
 gradient, the beta-beta Hessian and the beta-cut-point block, so no n x k
 temporary is built. A line search scores its candidates with the first stage
 alone and runs the derivative stage only on the candidate it accepts, so no
-bound or log-probability is computed twice.
+bound or log-probability is computed twice. A binary fit instead evaluates
+each candidate with ``_binary_pass``, both stages fused in one sweep: a J = 2
+row has one finite bound, -x'b, which gives its log-probability and its
+derivative terms together, with the bits of the two stages. The public
+``loglik``, ``grad_loglik``, ``hess_loglik`` and ``score_matrix`` run the two
+stages at every J.
 
-Both stages, and the hit rate, cut the rows into one contiguous run of whole
-blocks per CPU the process may run on. The first run goes in the calling
-thread and the others on a pool of threads; numpy and scipy.special release
-the interpreter lock in their elementwise loops, so the runs overlap. Each
-run works one chunk of a few blocks at a time, so no temporary grows with n.
-The first stage writes every row's bounds and log-probability into arrays
-made for the whole pass and sums the log-probabilities there; the derivative
-stage returns each block's product and per-category sums, and the caller adds
-them in block order. Every product has the same shape, and no sum depends on
-where the runs begin, so every bit of the result is the same at any CPU
-count and at any BLAS thread count.
+Both stages, the fused pass and the hit rate cut the rows into one
+contiguous run of whole blocks per CPU the process may run on. The first run
+goes in the calling thread and the others on a pool of threads; numpy and
+scipy.special release the interpreter lock in their elementwise loops, so
+the runs overlap. Each run works one chunk of a few blocks at a time, so no
+temporary grows with n. The first stage writes every row's bounds and
+log-probability, the fused pass its log-probability, into arrays made for
+the whole pass and sums the log-probabilities there; the derivative stage
+returns each block's product and per-category sums, the fused pass each
+block's product, and the caller adds them in block order. Every product has
+the same shape, and no sum depends on where the runs begin, so every bit of
+the result is the same at any CPU count and at any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -299,6 +306,25 @@ def _loglik_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
     return float(np.sum(logp)), (a, b, logp)
 
 
+def _block_products(X: np.ndarray, rows: slice, weight: np.ndarray, prod: np.ndarray) -> list:
+    """[X_blk' prod_blk', ...], one product per block of ``rows``, in order.
+
+    Writes X[rows] times ``weight`` into the first k rows of ``prod``, the
+    right factor transposed; the caller has written its other rows. Zero
+    rows pad the last block, so every product has one shape: a BLAS may
+    round a product of another length by its thread count.
+    """
+    m, k = weight.size, X.shape[1]
+    X_chunk = X[rows]
+    if m % _BLOCK_ROWS:
+        X_chunk = np.zeros((-(-m // _BLOCK_ROWS) * _BLOCK_ROWS, k))
+        X_chunk[:m] = X[rows]
+        prod[:, m:] = 0.0
+    np.multiply(X_chunk[:m].T, weight, out=prod[:k, :m])
+    return [X_chunk[lo:lo + _BLOCK_ROWS].T @ prod[:, lo:lo + _BLOCK_ROWS].T
+            for lo in range(0, m, _BLOCK_ROWS)]
+
+
 def _derivative_pass(spec: ModelSpec, data: Dataset, state):
     """Second stage of a pass: (gradient, Hessian) in the coefficients and
     the cut-points (beta, gamma_2..gamma_{J-1}) from ``_loglik_pass``'s state.
@@ -332,27 +358,15 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state):
             d2aa = -t_a - r_a * r_a
             d2bb = t_b - r_b * r_b
             d2ab = r_a * r_b
-            X_chunk, m = X[rows], r_a.size
-            n_blocks = -(-m // _BLOCK_ROWS)
-            if m % _BLOCK_ROWS:
-                # zero rows pad the last block, so every product has one shape: a
-                # BLAS may round a product of another length by its thread count
-                X_chunk = np.zeros((n_blocks * _BLOCK_ROWS, k))
-                X_chunk[:m] = X[rows]
-                prod[:, m:] = 0.0
-            sums = np.zeros((n_blocks, 5, n_bins))
-            if J > 2:  # no free cut-point at J = 2: skip the scatter and the bincounts
-                cuts[2:J, :m] = 0.0
-                _scatter_cuts(cuts, y[rows], d2bb + d2ab, d2aa + d2ab)
-                target = y[rows] + bins[:m]
-                sums = np.stack([np.bincount(target, weights, n_blocks * n_bins)
-                                 for weights in (r_b, r_a, d2bb, d2aa, d2ab)])
-                sums = sums.reshape(5, n_blocks, n_bins).transpose(1, 0, 2)
-            np.multiply(X_chunk[:m].T, d2aa + d2bb + 2.0 * d2ab, out=prod[:k, :m])
+            m = r_a.size
+            cuts[2:J, :m] = 0.0
+            _scatter_cuts(cuts, y[rows], d2bb + d2ab, d2aa + d2ab)
+            target = y[rows] + bins[:m]
+            sums = np.stack([np.bincount(target, weights, -(-m // _BLOCK_ROWS) * n_bins)
+                             for weights in (r_b, r_a, d2bb, d2aa, d2ab)])
             np.subtract(r_a, r_b, out=prod[k, :m])
-            for i, lo in enumerate(range(0, m, _BLOCK_ROWS)):
-                block = slice(lo, lo + _BLOCK_ROWS)
-                blocks.append((X_chunk[block].T @ prod[:, block].T, sums[i]))
+            products = _block_products(X, rows, d2aa + d2bb + 2.0 * d2ab, prod)
+            blocks += zip(products, sums.reshape(5, len(products), n_bins).transpose(1, 0, 2))
         return blocks
 
     acc = np.zeros((k, k + J - 1))
@@ -367,6 +381,58 @@ def _derivative_pass(spec: ModelSpec, data: Dataset, state):
             + np.diag(ab_by_cat[3:J], 1) + np.diag(ab_by_cat[3:J], -1))
     H = np.block([[acc[:, :k], -acc[:, k + 1:]], [-acc[:, k + 1:].T, H_gg]])
     return grad, 0.5 * (H + H.T)
+
+
+def _binary_pass(spec: ModelSpec, params: ParamVector, data: Dataset):
+    """A whole pass at J = 2 in one sweep of the rows: (loglik, gradient,
+    Hessian) in beta, with the bits of ``_loglik_pass`` followed by
+    ``_derivative_pass``; the derivatives are None where the log-likelihood
+    is not finite.
+
+    A binary row has one finite bound, w = 0 - x'b, and no free cut-point to
+    scatter or count: its log-probability is log F(w) for y = 1 and
+    log F(-w) for y = 2, the tail ``_interval_logprob`` picks with no
+    correction, and its gradient and Hessian terms are those of
+    ``_bound_terms`` at that bound. An overflowed x'b, where ``_bounds``
+    gives the infinite bound inf - inf = nan, scores nan here rather than
+    log F(+inf) = 0. Each block gives the product X_blk' [X_blk w | g] of
+    ``_derivative_pass``, added in block order.
+
+    The derivatives are formed for every point, also one that scores -inf
+    or nan, or that a line search rejects, which the two stages never
+    differentiate; so no floating-point warning is raised after x'b.
+    """
+    _check_dimensions(spec, params, data.X, data.J)
+    X, k, link = data.X, spec.k, spec.link
+    logp = np.empty(data.n)
+
+    def run(chunks):
+        prod = np.empty((k + 1, _CHUNK_ROWS))
+        blocks = []
+        for rows in chunks:
+            # +1 where y = 1 and -1 where y = 2: a product with it is exactly
+            # the select of w or -w, at a fraction of np.where's cost
+            sign = 3.0 - 2.0 * data.y[rows]
+            w = 0.0 - X[rows] @ params.beta
+            with np.errstate(all="ignore"):
+                hi = sign * w
+                logp[rows] = link.log_cdf(hi)
+                np.copyto(logp[rows], np.nan, where=hi == np.inf)
+                log_f, slope = link.log_pdf_slope(w)
+                r = np.exp(log_f - logp[rows])
+                np.multiply(r, -sign, out=prod[k, :r.size])
+                blocks += _block_products(X, rows, sign * (slope * r) - r * r, prod)
+        return blocks
+
+    runs = _row_runs(data.n, run)
+    ll = float(np.sum(logp))
+    if not math.isfinite(ll):
+        return ll, None, None
+    acc = np.zeros((k, k + 1))
+    for blocks in runs:
+        for product in blocks:
+            acc += product
+    return ll, acc[:, k].copy(), 0.5 * (acc[:, :k] + acc[:, :k].T)
 
 
 def _delta_derivatives(delta: np.ndarray, grad: np.ndarray, H: np.ndarray):

@@ -237,9 +237,10 @@ class TestOptimizerBehavior:
 
 
 class TestPassCounts:
-    """Each Newton iterate costs one likelihood pass: the line search scores
-    candidates with the first stage alone, and only the accepted candidate's
-    state goes on to the derivative stage."""
+    """Each Newton iterate costs one likelihood pass. For J >= 3 the line
+    search scores candidates with the first stage alone, and only the
+    accepted candidate's state goes on to the derivative stage; at J = 2
+    each candidate is one fused pass."""
 
     @staticmethod
     def _record_stages(monkeypatch):
@@ -276,18 +277,43 @@ class TestPassCounts:
         assert self._derivative_logliks(calls) == fit.history
 
     def test_halved_candidates_get_no_derivatives(self, monkeypatch):
-        spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
-        data = simulate_dataset(spec, [0.3, 0.5], [], 400, np.random.default_rng(5))
+        spec = ModelSpec("ordinal", Link.LOGIT, J=3, k=2, intercept=True)
+        data = simulate_dataset(spec, [0.3, 0.5], [1.0], 400, np.random.default_rng(5))
         start = lk.initial_params(spec, np.bincount(data.y)[1:])
         # a slope far past the optimum makes the first Newton steps overshoot
         monkeypatch.setattr(lk, "initial_params",
-                            lambda spec, counts: ParamVector([start.beta[0], 10.0]))
+                            lambda spec, counts: ParamVector([start.beta[0], 10.0], start.delta))
         calls = self._record_stages(monkeypatch)
         fit = fit_ml(spec, data)
         assert fit.converged
         assert len(calls["derivative"]) == fit.iterations + 1
         assert len(calls["first"]) > len(calls["derivative"])
         assert self._derivative_logliks(calls) == fit.history
+
+    def test_binary_candidates_cost_one_fused_pass_each(self, monkeypatch):
+        # at J = 2 every candidate, halved or accepted, is one fused pass that
+        # also gives the derivatives, and the two stages never run
+        spec = ModelSpec("binary", Link.LOGIT, J=2, k=2, intercept=True)
+        data = simulate_dataset(spec, [0.3, 0.5], [], 400, np.random.default_rng(5))
+        start = lk.initial_params(spec, np.bincount(data.y)[1:])
+        monkeypatch.setattr(lk, "initial_params",
+                            lambda spec, counts: ParamVector([start.beta[0], 10.0]))
+        stages = self._record_stages(monkeypatch)
+        passes = []
+        binary = lk._binary_pass
+
+        def recorded(spec, params, data):
+            out = binary(spec, params, data)
+            passes.append(out)
+            return out
+
+        monkeypatch.setattr(lk, "_binary_pass", recorded)
+        fit = fit_ml(spec, data)
+        assert fit.converged
+        assert stages == {"first": [], "derivative": []}
+        assert len(passes) > fit.iterations + 1
+        assert all(grad.shape == (2,) and H.shape == (2, 2) for _, grad, H in passes)
+        assert [ll for ll, _, _ in passes if ll in fit.history] == fit.history
 
 
 class TestFitOptions:
@@ -308,40 +334,73 @@ class TestFitOptions:
 class TestNewtonBranches:
     """A -H that does not factor, the line search and the final curvature
     check, each driven to the branch that a well-posed fit never takes, and
-    the line search's rejection of unordered cut-points."""
+    the line search's rejection of unordered cut-points. At J = 2 the fit
+    scores with the fused pass, above with the two stages; each is patched
+    where the fit calls it."""
 
     @staticmethod
-    def _instance():
-        spec = ModelSpec("binary", Link.PROBIT, J=2, k=3, intercept=True)
-        data = simulate_dataset(spec, [0.5, -1.0, 0.25], [], 500, np.random.default_rng(66))
+    def _instance(J):
+        spec = ModelSpec(None, Link.PROBIT, J=J, k=3, intercept=True)
+        data = simulate_dataset(spec, [0.5, -1.0, 0.25], [1.0] * (J - 2), 500,
+                                np.random.default_rng(66))
         return spec, data
 
-    def test_no_direction_stops_the_fit_unconverged(self, monkeypatch):
-        spec, data = self._instance()
-        derivative = lk._derivative_pass
+    @staticmethod
+    def _patch_logliks(monkeypatch, J, change):
+        """Score every point the fit evaluates at change(loglik)."""
+        if J == 2:
+            binary = lk._binary_pass
 
-        def convex(spec, data, state):
-            grad, H = derivative(spec, data, state)
-            return grad, 1e40 * np.eye(H.shape[0])
+            def patched(spec, params, data):
+                ll, grad, H = binary(spec, params, data)
+                return change(ll), grad, H
 
-        monkeypatch.setattr(lk, "_derivative_pass", convex)
+            monkeypatch.setattr(lk, "_binary_pass", patched)
+        else:
+            first = lk._loglik_pass
+
+            def patched(spec, params, data):
+                ll, state = first(spec, params, data)
+                return change(ll), state
+
+            monkeypatch.setattr(lk, "_loglik_pass", patched)
+
+    @staticmethod
+    def _patch_derivatives(monkeypatch, J, change):
+        """Give the fit change(grad, H) for every (gradient, Hessian)."""
+        if J == 2:
+            binary = lk._binary_pass
+
+            def patched(spec, params, data):
+                ll, grad, H = binary(spec, params, data)
+                return (ll, *change(grad, H))
+
+            monkeypatch.setattr(lk, "_binary_pass", patched)
+        else:
+            derivative = lk._derivative_pass
+            monkeypatch.setattr(lk, "_derivative_pass",
+                                lambda spec, data, state: change(*derivative(spec, data, state)))
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_no_direction_stops_the_fit_unconverged(self, J, monkeypatch):
+        spec, data = self._instance(J)
+        self._patch_derivatives(monkeypatch, J, lambda grad, H: (grad, 1e40 * np.eye(H.shape[0])))
         fit = fit_ml(spec, data)
         assert not fit.converged
         assert fit.iterations == 0
         assert len(fit.history) == 1
 
-    def test_exhausted_line_search_stops_the_fit_unconverged(self, monkeypatch):
-        spec, data = self._instance()
-        first = lk._loglik_pass
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_exhausted_line_search_stops_the_fit_unconverged(self, J, monkeypatch):
+        spec, data = self._instance(J)
         calls = []
 
-        def worse_candidates(spec, params, data):
-            ll, state = first(spec, params, data)
+        def worse_candidates(ll):
             calls.append(ll)
             # every candidate scores below the start, however short the step
-            return min(ll, calls[0] - 1.0) if len(calls) > 1 else ll, state
+            return min(ll, calls[0] - 1.0) if len(calls) > 1 else ll
 
-        monkeypatch.setattr(lk, "_loglik_pass", worse_candidates)
+        self._patch_logliks(monkeypatch, J, worse_candidates)
         fit = fit_ml(spec, data)
         assert not fit.converged
         assert fit.iterations == 0
@@ -371,18 +430,17 @@ class TestNewtonBranches:
         assert fit.converged
         np.testing.assert_allclose(fit.params.flat, reference.params.flat, rtol=0, atol=1e-8)
 
-    def test_unfactorable_final_hessian_demotes_convergence(self, monkeypatch):
-        spec, data = self._instance()
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_unfactorable_final_hessian_demotes_convergence(self, J, monkeypatch):
+        spec, data = self._instance(J)
         reference = fit_ml(spec, data)
         assert reference.converged
-        derivative = lk._derivative_pass
 
-        def flipped_at_optimum(spec, data, state):
-            grad, H = derivative(spec, data, state)
+        def flipped_at_optimum(grad, H):
             small = np.max(np.abs(grad)) < FitOptions.grad_tol
             return grad, (-H if small else H)
 
-        monkeypatch.setattr(lk, "_derivative_pass", flipped_at_optimum)
+        self._patch_derivatives(monkeypatch, J, flipped_at_optimum)
         fit = fit_ml(spec, data)
         assert not fit.converged
         assert fit.iterations == reference.iterations

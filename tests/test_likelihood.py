@@ -694,6 +694,104 @@ class TestRowRunFailures:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+def _two_stages(spec, params, data):
+    """(loglik, gradient, Hessian) from the two stages, with no derivatives
+    where the log-likelihood is not finite: a fit never asks for them."""
+    ll, state = lk._loglik_pass(spec, params, data)
+    if not math.isfinite(ll):
+        return ll, None, None
+    return (ll, *lk._derivative_pass(spec, data, state))
+
+
+def _warned(fn):
+    """(fn(), the set of (category, message) of the warnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+class TestBinaryPass:
+    """The fused J = 2 pass of the Newton fit keeps every bit of the two
+    stages where the log-likelihood is finite, is not finite where theirs is
+    not, and raises no warning that they do not raise."""
+
+    BLOCK = lk._BLOCK_ROWS
+    OVERFLOW = {(RuntimeWarning, "overflow encountered in matmul")}
+
+    @staticmethod
+    def _passes(spec, params, data):
+        """(two stages, fused pass), each with the warnings it raised; the
+        fused pass raises none that the two stages do not."""
+        (want, want_warned), (got, got_warned) = (
+            _warned(lambda: _two_stages(spec, params, data)),
+            _warned(lambda: lk._binary_pass(spec, params, data)))
+        assert got_warned <= want_warned
+        return want, got, got_warned
+
+    def _assert_same_bits(self, spec, params, data):
+        want, got, _ = self._passes(spec, params, data)
+        assert math.isfinite(want[0])
+        for name, w, g in zip(("loglik", "grad", "H"), want, got):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [100, BLOCK, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_bit_identical_to_the_two_stages(self, link, n, order, monkeypatch):
+        spec, params, data = _wide_instance(link, 2, n=n, seed=120)
+        data.X = np.asarray(data.X, order=order)
+        # a steep slope of the wrong sign puts cells of x1 = +-40 below -745
+        far = ParamVector([0.3, -20.0, -0.5])
+        assert np.min(lk._loglik_pass(spec, far, data)[1][2]) < -745.0
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(lk, "_cpu_count", lambda: cpus)
+            for candidate in (params, far):
+                self._assert_same_bits(spec, candidate, data)
+
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_intercept_only_bit_identical(self, link, monkeypatch):
+        _, _, data = _wide_instance(link, 2, n=3 * self.BLOCK + 17, seed=121)
+        data = Dataset(y=data.y, X=np.ones((data.n, 1)), column_names=["intercept"], J=2)
+        spec = ModelSpec(None, link, J=2, k=1)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(lk, "_cpu_count", lambda: cpus)
+            for beta in ([0.0], [0.4], [-30.0]):
+                self._assert_same_bits(spec, ParamVector(beta), data)
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("link", [Link.PROBIT, Link.LOGIT])
+    def test_overflowed_xb_is_not_finite_in_both(self, link, rows, monkeypatch):
+        monkeypatch.setattr(lk, "_cpu_count", lambda: 2)
+        spec, _, data = _wide_instance(link, 2, n=3 * self.BLOCK + 17, seed=122)
+        if rows:
+            # only two rows overflow, each to the bound of its own cell, where
+            # log F(+inf) = 0 would hide the overflow: one in each run
+            data.X[5, 1], data.y[5] = 1e300, 2
+            data.X[-1, 1], data.y[-1] = -1e300, 1
+            params = ParamVector([0.3, 1e9, -0.5])
+        else:
+            params = ParamVector([0.3, 1e307, -0.5])
+        want, got, got_warned = self._passes(spec, params, data)
+        assert not math.isfinite(want[0])
+        assert not math.isfinite(got[0])
+        assert got[1:] == (None, None)
+        assert got_warned <= self.OVERFLOW
+
+    def test_minus_inf_candidate_raises_no_warning(self):
+        # past |w| of about 1.9e154, log Phi(w) is -inf and f(w)/p is
+        # -inf - -inf; the logit's log-cdf is -inf only at an overflowed w
+        spec, _, data = _wide_instance(Link.PROBIT, 2, n=3 * self.BLOCK + 17, seed=123)
+        params = ParamVector([0.3, 1e200, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _two_stages(spec, params, data)
+            got = lk._binary_pass(spec, params, data)
+        assert want[0] == got[0] == -np.inf
+        assert got[1:] == (None, None)
+
+
 class TestModelSpecValidation:
     def test_binary_requires_two_categories(self):
         with pytest.raises(ValueError):
